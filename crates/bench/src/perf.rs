@@ -584,7 +584,7 @@ mod tests {
                 job: None,
                 start_us: 0,
                 dur_us,
-                args: Vec::new(),
+                args: Default::default(),
             })
         };
         let rows = profile_rows(&[

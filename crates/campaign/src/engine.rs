@@ -746,7 +746,7 @@ fn execute_job(
         sfi_obs::clock::now_micros().saturating_sub(trial_start),
         shared.trace_parent,
         shared.trace_job,
-        vec![
+        [
             ("cell", sfi_obs::FieldValue::U64(cell_index as u64)),
             ("trial", sfi_obs::FieldValue::U64(job.trial as u64)),
         ],

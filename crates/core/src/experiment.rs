@@ -160,13 +160,14 @@ pub fn watchdog_cycles(golden_cycles: u64) -> u64 {
 }
 
 /// Runs one trial on an already prepared core (architectural state and
-/// data memory reset, inputs *not* yet loaded).
+/// data memory reset, inputs *not* yet loaded).  Also returns whether the
+/// watchdog stopped the run.
 fn run_prepared_trial<F: FaultInjector + ?Sized>(
     core: &mut Core,
     benchmark: &dyn Benchmark,
     injector: &mut F,
     max_cycles: u64,
-) -> TrialResult {
+) -> (TrialResult, bool) {
     benchmark.initialize(core.memory_mut());
     let config = RunConfig {
         max_cycles,
@@ -174,26 +175,33 @@ fn run_prepared_trial<F: FaultInjector + ?Sized>(
         ..RunConfig::default()
     };
     let outcome = core.run_with_injector(&config, injector);
-    // Sharded per-thread counters: one relaxed add each, no measurable
-    // cost next to the trial just simulated.
-    let obs = sfi_obs::metrics();
-    obs.trials.inc();
-    obs.iss_cycles.add(core.stats().cycles);
-    if matches!(outcome, RunOutcome::Watchdog { .. }) {
-        obs.iss_watchdog_trips.inc();
-    }
+    let watchdog = matches!(outcome, RunOutcome::Watchdog { .. });
+    count_trial(core.stats().cycles, watchdog);
     let finished = outcome.finished();
     let output_error = if finished {
         benchmark.output_error(core.memory())
     } else {
         f64::NAN
     };
-    TrialResult {
+    let result = TrialResult {
         finished,
         correct: finished && output_error == 0.0,
         output_error,
         fi_rate_per_kcycle: core.stats().fi_rate_per_kcycle(),
         cycles: core.stats().cycles,
+    };
+    (result, watchdog)
+}
+
+/// Bumps the process-wide counters of one simulated trial.  Sharded
+/// per-thread counters: one relaxed add each, no measurable cost next to
+/// the trial itself.
+fn count_trial(cycles: u64, watchdog: bool) {
+    let obs = sfi_obs::metrics();
+    obs.trials.inc();
+    obs.iss_cycles.add(cycles);
+    if watchdog {
+        obs.iss_watchdog_trips.inc();
     }
 }
 
@@ -203,7 +211,7 @@ fn run_one_trial<F: FaultInjector + ?Sized>(
     max_cycles: u64,
 ) -> TrialResult {
     let mut core = Core::new(benchmark.program().clone(), benchmark.dmem_words());
-    run_prepared_trial(&mut core, benchmark, injector, max_cycles)
+    run_prepared_trial(&mut core, benchmark, injector, max_cycles).0
 }
 
 /// Number of fault-free cycles of a benchmark (used to size the watchdog
@@ -276,13 +284,21 @@ impl CachedInjector {
 /// core, and a reseeded injector equals a newly built one because all
 /// expensive injector state is trial-invariant and `Arc`-shared.
 ///
+/// Trials whose injector [never faults](FaultInjector::never_faults) skip
+/// the ISS: the first one per benchmark and watchdog limit runs the core
+/// fault-free and is kept, later ones return that result in O(1).  A zero
+/// mask on every cycle makes the run identical to the fault-free run, and
+/// the RNG state the skipped draws would have advanced is discarded when
+/// the trial ends, so this is bit-identical too.
+///
 /// The context is deliberately *not* `Sync`: every campaign worker thread
 /// owns one.
 #[derive(Debug, Default)]
 pub struct TrialContext {
-    /// One recycled core per benchmark, keyed by the caller's benchmark
-    /// key (the campaign engine uses the spec's benchmark index).
-    cores: Vec<(usize, Core)>,
+    /// One recycled core (and cached fault-free trial) per benchmark,
+    /// keyed by the caller's benchmark key (the campaign engine uses the
+    /// spec's benchmark index).
+    benchmarks: Vec<BenchmarkSlot>,
     /// The last trial's injector, reusable while the study (identified by
     /// its share token — see [`CaseStudy::share_token`]), fault model and
     /// operating point repeat.  Holding the token `Arc` also guarantees
@@ -299,6 +315,55 @@ struct CachedTrialInjector {
     injector: CachedInjector,
 }
 
+/// One benchmark's recycled core and its fault-free trial.
+#[derive(Debug)]
+struct BenchmarkSlot {
+    key: usize,
+    core: Core,
+    golden: Option<GoldenTrial>,
+}
+
+/// A fault-free trial at one watchdog limit, with the watchdog bit its
+/// counters need.
+#[derive(Debug, Clone, Copy)]
+struct GoldenTrial {
+    max_cycles: u64,
+    result: TrialResult,
+    watchdog: bool,
+}
+
+impl BenchmarkSlot {
+    fn run<F: FaultInjector + ?Sized>(
+        &mut self,
+        benchmark: &dyn Benchmark,
+        injector: &mut F,
+        max_cycles: u64,
+    ) -> (TrialResult, bool) {
+        self.core.reset_full();
+        run_prepared_trial(&mut self.core, benchmark, injector, max_cycles)
+    }
+
+    /// The fault-free trial at `max_cycles`: simulated once, then returned
+    /// from the cache with the same counter bumps a simulated trial makes.
+    fn golden_trial(&mut self, benchmark: &dyn Benchmark, max_cycles: u64) -> TrialResult {
+        match self.golden {
+            Some(golden) if golden.max_cycles == max_cycles => {
+                count_trial(golden.result.cycles, golden.watchdog);
+                golden.result
+            }
+            _ => {
+                let (result, watchdog) = self.run(benchmark, &mut NoFaultInjector, max_cycles);
+                self.golden = Some(GoldenTrial {
+                    max_cycles,
+                    result,
+                    watchdog,
+                });
+                result
+            }
+        }
+    }
+}
+
 impl TrialContext {
     /// An empty context (no cores, no cached injector).
     pub fn new() -> Self {
@@ -310,11 +375,11 @@ impl TrialContext {
     ///
     /// `benchmark_key` must uniquely identify `benchmark` among all
     /// benchmarks this context is used with (e.g. its index in the
-    /// campaign spec); the cached core of a key is only valid for the
-    /// benchmark it was built from.  The injector cache keys itself on
-    /// the study's identity (in addition to model and operating point),
-    /// so alternating between different studies is safe — it merely
-    /// forgoes the reuse.
+    /// campaign spec); the cached core and fault-free trial of a key are
+    /// only valid for the benchmark they were built from.  The injector
+    /// cache keys itself on the study's identity (in addition to model and
+    /// operating point), so alternating between different studies is
+    /// safe — it merely forgoes the reuse.
     ///
     /// The result is bit-identical to
     /// [`run_single_trial`] with the same arguments.
@@ -350,26 +415,30 @@ impl TrialContext {
                 injector: CachedInjector::build(study, model, point, trial_seed),
             },
         };
-        let core = match self.cores.iter().position(|(key, _)| *key == benchmark_key) {
-            Some(index) => {
-                let core = &mut self.cores[index].1;
-                core.reset_full();
-                core
-            }
+        let bench = match self.benchmarks.iter().position(|b| b.key == benchmark_key) {
+            Some(index) => &mut self.benchmarks[index],
             None => {
-                let core = Core::new(benchmark.program().clone(), benchmark.dmem_words());
-                self.cores.push((benchmark_key, core));
-                &mut self.cores.last_mut().expect("just pushed").1
+                self.benchmarks.push(BenchmarkSlot {
+                    key: benchmark_key,
+                    core: Core::new(benchmark.program().clone(), benchmark.dmem_words()),
+                    golden: None,
+                });
+                self.benchmarks.last_mut().expect("just pushed")
             }
         };
-        let result =
-            run_prepared_trial(core, benchmark, slot.injector.as_injector_mut(), max_cycles);
-        let faults = core.stats().injected_faults;
-        if faults > 0 {
-            sfi_obs::metrics()
-                .iss_faults_for(model_metric_index(model))
-                .add(faults);
-        }
+        let injector = slot.injector.as_injector_mut();
+        let result = if injector.never_faults() {
+            bench.golden_trial(benchmark, max_cycles)
+        } else {
+            let (result, _) = bench.run(benchmark, injector, max_cycles);
+            let faults = bench.core.stats().injected_faults;
+            if faults > 0 {
+                sfi_obs::metrics()
+                    .iss_faults_for(model_metric_index(model))
+                    .add(faults);
+            }
+            result
+        };
         self.injector = Some(slot);
         result
     }
@@ -751,45 +820,96 @@ mod tests {
         assert_eq!(all_unreadable.checked_mean_output_error(), None);
     }
 
+    /// The trial simulated on a fresh core with the real injector — never
+    /// the golden shortcut — as the reference the cached paths must equal.
+    fn full_path_trial(
+        study: &CaseStudy,
+        bench: &dyn Benchmark,
+        model: FaultModel,
+        point: OperatingPoint,
+        max_cycles: u64,
+        seed: u64,
+    ) -> TrialResult {
+        let mut injector = CachedInjector::build(study, model, point, seed);
+        let mut core = Core::new(bench.program().clone(), bench.dmem_words());
+        run_prepared_trial(&mut core, bench, injector.as_injector_mut(), max_cycles).0
+    }
+
+    fn assert_bit_identical(a: TrialResult, b: TrialResult, what: &str) {
+        assert_eq!(a.finished, b.finished, "{what}");
+        assert_eq!(a.correct, b.correct, "{what}");
+        assert_eq!(a.cycles, b.cycles, "{what}");
+        assert_eq!(a.output_error.to_bits(), b.output_error.to_bits(), "{what}");
+        assert_eq!(
+            a.fi_rate_per_kcycle.to_bits(),
+            b.fi_rate_per_kcycle.to_bits(),
+            "{what}"
+        );
+    }
+
     #[test]
     fn trial_context_reuse_is_bit_identical_to_fresh_construction() {
         let study = fast_study();
         let bench = MedianBenchmark::new(21, 3);
-        let point =
-            OperatingPoint::new(study.sta_limit_mhz(0.7) * 1.2, 0.7).with_noise_sigma_mv(10.0);
+        let sta = study.sta_limit_mhz(0.7);
+        let noisy = |scale: f64| OperatingPoint::new(sta * scale, 0.7).with_noise_sigma_mv(10.0);
+        // A transition cell on the full path, then below-limit cells of
+        // models B, B+ and C whose injectors never fault (golden reuse).
+        let cells = [
+            (FaultModel::StatisticalDta, noisy(1.2), false),
+            (
+                FaultModel::StaPeriodViolation,
+                OperatingPoint::new(sta * 0.95, 0.7),
+                true,
+            ),
+            (FaultModel::StaWithNoise, noisy(0.9), true),
+            (FaultModel::StatisticalDta, noisy(0.9), true),
+        ];
         let max_cycles = watchdog_cycles(golden_cycles(&bench));
         let mut context = TrialContext::new();
-        for trial in 0..6u64 {
-            let seed = derive_trial_seed(9, 0, trial);
-            let reused = context.run_trial(
-                &study,
-                &bench,
-                0,
-                FaultModel::StatisticalDta,
-                point,
-                max_cycles,
-                seed,
-            );
-            let fresh = run_single_trial(
-                &study,
-                &bench,
-                FaultModel::StatisticalDta,
-                point,
-                max_cycles,
-                seed,
-            );
-            assert_eq!(reused.finished, fresh.finished, "trial {trial}");
-            assert_eq!(reused.cycles, fresh.cycles, "trial {trial}");
+        for (model, point, never_faults) in cells {
             assert_eq!(
-                reused.output_error.to_bits(),
-                fresh.output_error.to_bits(),
-                "trial {trial}"
+                CachedInjector::build(&study, model, point, 0)
+                    .as_injector_mut()
+                    .never_faults(),
+                never_faults,
+                "{model:?} at {point}"
             );
-            assert_eq!(
-                reused.fi_rate_per_kcycle.to_bits(),
-                fresh.fi_rate_per_kcycle.to_bits(),
-                "trial {trial}"
-            );
+            for trial in 0..6u64 {
+                let seed = derive_trial_seed(9, 0, trial);
+                let reused = context.run_trial(&study, &bench, 0, model, point, max_cycles, seed);
+                let fresh = run_single_trial(&study, &bench, model, point, max_cycles, seed);
+                let full = full_path_trial(&study, &bench, model, point, max_cycles, seed);
+                let what = format!("{model:?} at {point}, trial {trial}");
+                assert_bit_identical(reused, fresh, &what);
+                assert_bit_identical(reused, full, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn golden_reuse_is_keyed_on_the_watchdog_limit() {
+        let study = fast_study();
+        let bench = MedianBenchmark::new(21, 3);
+        let golden = golden_cycles(&bench);
+        let point =
+            OperatingPoint::new(study.sta_limit_mhz(0.7) * 0.9, 0.7).with_noise_sigma_mv(10.0);
+        let model = FaultModel::StatisticalDta;
+        let mut context = TrialContext::new();
+        // A limit below the golden run trips the watchdog; alternating
+        // limits must never hand one limit's cached result to another.
+        for max_cycles in [golden / 2, watchdog_cycles(golden), golden / 2, golden] {
+            for trial in 0..3u64 {
+                let seed = derive_trial_seed(4, 0, trial);
+                let reused = context.run_trial(&study, &bench, 0, model, point, max_cycles, seed);
+                let full = full_path_trial(&study, &bench, model, point, max_cycles, seed);
+                assert_bit_identical(reused, full, &format!("max_cycles {max_cycles}"));
+                assert_eq!(
+                    reused.finished,
+                    max_cycles >= golden,
+                    "max_cycles {max_cycles}"
+                );
+            }
         }
     }
 

@@ -49,6 +49,32 @@ pub trait FaultInjector {
     /// per-run state (e.g. noise sequences) while keeping their expensive
     /// characterization data.
     fn begin_run(&mut self) {}
+
+    /// Whether this injector provably returns a zero mask on every cycle
+    /// of every run, whatever the program and the RNG state.
+    ///
+    /// A `true` answer is a proof obligation, not a hint: the trial
+    /// harness then skips the ISS run and returns the cached fault-free
+    /// (golden) result instead.  That is bit-identical because a zero mask
+    /// on every cycle leaves the run, and its statistics, exactly as the
+    /// golden run; and the RNG draws the skipped run would have made only
+    /// advance the trial's own generator, which is reseeded for the next
+    /// trial, so its state is discarded when the trial ends.
+    ///
+    /// The `sfi-fault` models answer once, when they are built.  Model B
+    /// compares its STA endpoint delays with the period.  Models B+ and C
+    /// bound the per-cycle noise: a sample is `clamp(z, -c, c) * σ`, so the
+    /// noisy supply stays within `vdd ± c·σ` and the per-cycle delay
+    /// factor is at most the curve's maximum over that range (its ends and
+    /// every knot inside it) over the nominal factor.  They scale their
+    /// worst delay (B+: the STA endpoints, C: every op's worst DTA sample)
+    /// by that factor plus a 1e-9 relative guard band for rounding, and
+    /// answer `true` when it still fits the period.
+    ///
+    /// The conservative default is `false`.
+    fn never_faults(&self) -> bool {
+        false
+    }
 }
 
 /// A fault injector that never injects anything (golden runs).
@@ -58,6 +84,10 @@ pub struct NoFaultInjector;
 impl FaultInjector for NoFaultInjector {
     fn inject(&mut self, _ctx: &ExStageContext) -> u32 {
         0
+    }
+
+    fn never_faults(&self) -> bool {
+        true
     }
 }
 
@@ -69,6 +99,10 @@ impl<T: FaultInjector + ?Sized> FaultInjector for &mut T {
     fn begin_run(&mut self) {
         (**self).begin_run();
     }
+
+    fn never_faults(&self) -> bool {
+        (**self).never_faults()
+    }
 }
 
 impl<T: FaultInjector + ?Sized> FaultInjector for Box<T> {
@@ -78,6 +112,10 @@ impl<T: FaultInjector + ?Sized> FaultInjector for Box<T> {
 
     fn begin_run(&mut self) {
         (**self).begin_run();
+    }
+
+    fn never_faults(&self) -> bool {
+        (**self).never_faults()
     }
 }
 
@@ -113,6 +151,7 @@ mod tests {
         let mut inj = NoFaultInjector;
         assert_eq!(inj.inject(&ctx(true)), 0);
         inj.begin_run();
+        assert!(inj.never_faults());
     }
 
     #[test]
@@ -126,5 +165,13 @@ mod tests {
         let mut boxed: Box<dyn FaultInjector> = Box::new(FlipLsbInKernel);
         assert_eq!(boxed.inject(&ctx(true)), 1);
         boxed.begin_run();
+        // `never_faults` defaults to false and is forwarded unchanged.
+        assert!(!dynamic.never_faults());
+        assert!(!boxed.never_faults());
+        let mut none = NoFaultInjector;
+        let by_ref: &mut dyn FaultInjector = &mut none;
+        assert!(by_ref.never_faults());
+        let boxed_none: Box<dyn FaultInjector> = Box::new(NoFaultInjector);
+        assert!(boxed_none.never_faults());
     }
 }

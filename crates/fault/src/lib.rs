@@ -48,5 +48,5 @@ pub use map::alu_op_for_class;
 pub use model_a::FixedProbabilityModel;
 pub use model_b::{StaPeriodViolationModel, StaWithNoiseModel};
 pub use model_c::StatisticalDtaModel;
-pub use operating_point::OperatingPoint;
+pub use operating_point::{OperatingPoint, WORST_FACTOR_GUARD_BAND};
 pub use table::DtaFaultTable;

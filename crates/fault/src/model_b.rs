@@ -19,6 +19,8 @@ use std::sync::Arc;
 pub struct StaPeriodViolationModel {
     endpoint_delays_ps: Arc<[f64]>,
     period_ps: f64,
+    /// `violation_mask(1.0) == 0`, fixed at construction.
+    never_faults: bool,
 }
 
 impl StaPeriodViolationModel {
@@ -45,10 +47,7 @@ impl StaPeriodViolationModel {
         let endpoint_delays_ps: Arc<[f64]> = (0..characterization.endpoint_count())
             .map(|e| characterization.sta_endpoint_delay_ps(e))
             .collect();
-        StaPeriodViolationModel {
-            endpoint_delays_ps,
-            period_ps: point.period_ps(),
-        }
+        Self::with_period(endpoint_delays_ps, point.period_ps())
     }
 
     /// Creates the model from an already-shared STA delay vector — the
@@ -77,10 +76,7 @@ impl StaPeriodViolationModel {
             !endpoint_delays_ps.is_empty(),
             "at least one endpoint is required"
         );
-        StaPeriodViolationModel {
-            endpoint_delays_ps,
-            period_ps: point.period_ps(),
-        }
+        Self::with_period(endpoint_delays_ps, point.period_ps())
     }
 
     /// Creates the model directly from per-endpoint STA delays (ps).
@@ -94,10 +90,19 @@ impl StaPeriodViolationModel {
             "at least one endpoint is required"
         );
         assert!(period_ps > 0.0, "period must be positive, got {period_ps}");
-        StaPeriodViolationModel {
-            endpoint_delays_ps: endpoint_delays_ps.into(),
+        Self::with_period(endpoint_delays_ps.into(), period_ps)
+    }
+
+    fn with_period(endpoint_delays_ps: Arc<[f64]>, period_ps: f64) -> Self {
+        let mut model = StaPeriodViolationModel {
+            endpoint_delays_ps,
             period_ps,
-        }
+            never_faults: false,
+        };
+        // Model B injects exactly `violation_mask(1.0)` on every in-window
+        // cycle, so an empty mask is the whole proof.
+        model.never_faults = model.violation_mask(1.0) == 0;
+        model
     }
 
     fn violation_mask(&self, delay_factor: f64) -> u32 {
@@ -118,6 +123,10 @@ impl FaultInjector for StaPeriodViolationModel {
         }
         self.violation_mask(1.0)
     }
+
+    fn never_faults(&self) -> bool {
+        self.never_faults
+    }
 }
 
 /// Model B extended with per-cycle supply-voltage noise (the paper's
@@ -136,6 +145,9 @@ pub struct StaWithNoiseModel {
     /// `curve.delay_factor(point.vdd())`, hoisted out of the per-cycle
     /// noise-scaling computation.
     nominal_factor: f64,
+    /// Whether no endpoint violates even at the worst clipped droop,
+    /// fixed at construction (see [`FaultInjector::never_faults`]).
+    never_faults: bool,
     rng: SmallRng,
 }
 
@@ -191,11 +203,16 @@ impl StaWithNoiseModel {
         seed: u64,
     ) -> Self {
         let nominal_factor = curve.delay_factor(point.vdd());
+        // Every per-cycle factor is at most the worst clipped-droop factor
+        // and `delay * factor` rounds monotonically, so a clean mask at
+        // that factor is clean on every cycle.
+        let never_faults = sta.violation_mask(point.worst_delay_factor(&curve)) == 0;
         StaWithNoiseModel {
             sta,
             point,
             curve,
             nominal_factor,
+            never_faults,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -225,6 +242,10 @@ impl FaultInjector for StaWithNoiseModel {
             self.nominal_factor,
         );
         self.sta.violation_mask(factor)
+    }
+
+    fn never_faults(&self) -> bool {
+        self.never_faults
     }
 }
 

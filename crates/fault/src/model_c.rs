@@ -6,6 +6,7 @@ use crate::table::DtaFaultTable;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sfi_cpu::{ExStageContext, FaultInjector};
+use sfi_netlist::alu::AluOp;
 use sfi_timing::{TimingCharacterization, VddDelayCurve};
 use std::sync::Arc;
 
@@ -37,6 +38,10 @@ pub struct StatisticalDtaModel {
     /// `curve.delay_factor(point.vdd())`, the noise-independent
     /// denominator of the per-cycle scaling factor.
     nominal_factor: f64,
+    /// Whether no instruction's worst delay reaches the period even at the
+    /// worst clipped droop, fixed at construction (see
+    /// [`FaultInjector::never_faults`]).
+    never_faults: bool,
     rng: SmallRng,
 }
 
@@ -88,11 +93,22 @@ impl StatisticalDtaModel {
             point.vdd()
         );
         let nominal_factor = curve.delay_factor(point.vdd());
+        // A cycle can only fault when its op's worst delay exceeds
+        // `period / factor`.  The guard band inside `worst_delay_factor`
+        // (1e-9) dwarfs the rounding of that division, so a worst delay
+        // that fits the period at the worst factor fits every cycle's
+        // threshold.
+        let worst_delay_ps = AluOp::ALL
+            .iter()
+            .map(|&op| table.max_delay_ps(op))
+            .fold(0.0, f64::max);
+        let never_faults = worst_delay_ps * point.worst_delay_factor(&curve) <= point.period_ps();
         StatisticalDtaModel {
             table,
             point,
             period_ps: point.period_ps(),
             nominal_factor,
+            never_faults,
             curve,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -157,6 +173,10 @@ impl FaultInjector for StatisticalDtaModel {
         let rng = &mut self.rng;
         self.table
             .violation_mask(op, threshold_ps, |p| rng.gen_bool(p))
+    }
+
+    fn never_faults(&self) -> bool {
+        self.never_faults
     }
 }
 

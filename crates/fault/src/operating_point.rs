@@ -1,7 +1,16 @@
 //! Operating points: clock frequency, supply voltage and supply noise.
 
-use sfi_timing::{freq_mhz_to_period_ps, VoltageNoise};
+use sfi_timing::{freq_mhz_to_period_ps, VddDelayCurve, VoltageNoise};
 use std::fmt;
+
+/// Relative guard band on the worst per-cycle delay factor that the
+/// fault-free bound of models B+ and C assumes.
+///
+/// The per-cycle factor the models compute can exceed the exact maximum
+/// of the curve by a few ulps of interpolation and division rounding
+/// (~1e-15 relative); 1e-9 covers that with a wide margin and costs
+/// nothing measurable in the frequency the bound certifies.
+pub const WORST_FACTOR_GUARD_BAND: f64 = 1e-9;
 
 /// One operating point of the core: the clock frequency it is (over-)clocked
 /// to, the nominal supply voltage, and the supply-noise level.
@@ -80,6 +89,24 @@ impl OperatingPoint {
     pub fn noise(&self) -> VoltageNoise {
         self.noise
     }
+
+    /// An upper bound on every per-cycle delay scaling factor the noisy
+    /// models (B+ and C) can compute at this point on `curve`.
+    ///
+    /// Every noise sample is `clamp(z, -c, c) * σ` with `c` the clip
+    /// point, so its magnitude is at most `c * σ` — the same product in
+    /// floating point — and the noisy supply `vdd + noise` lies in
+    /// `[vdd - cσ, vdd + cσ]` (rounding is monotone).  The factor is
+    /// `delay_factor(vdd + noise) / delay_factor(vdd)`, so it is at most
+    /// [`VddDelayCurve::max_delay_factor`] over that range divided by the
+    /// nominal factor, up to a few ulps of rounding that
+    /// [`WORST_FACTOR_GUARD_BAND`] covers.
+    pub(crate) fn worst_delay_factor(&self, curve: &VddDelayCurve) -> f64 {
+        let excursion = self.noise.max_excursion_volts();
+        let worst = curve.max_delay_factor(self.vdd - excursion, self.vdd + excursion)
+            / curve.delay_factor(self.vdd);
+        worst * (1.0 + WORST_FACTOR_GUARD_BAND)
+    }
 }
 
 impl fmt::Display for OperatingPoint {
@@ -116,6 +143,23 @@ mod tests {
         let op = OperatingPoint::new(500.0, 0.8)
             .with_noise(VoltageNoise::with_sigma_mv(10.0).with_clip_sigmas(3.0));
         assert_eq!(op.noise().clip_sigmas(), 3.0);
+    }
+
+    #[test]
+    fn worst_delay_factor_is_the_clipped_droop() {
+        let curve = VddDelayCurve::from_samples(&[(0.6, 1.4), (0.7, 1.0), (0.8, 0.8)]);
+        let quiet = OperatingPoint::new(700.0, 0.7);
+        assert_eq!(
+            quiet.worst_delay_factor(&curve),
+            1.0 + WORST_FACTOR_GUARD_BAND
+        );
+        // 10 mV clipped at 2 sigma: the worst droop is 0.68 V.
+        let noisy = quiet.with_noise_sigma_mv(10.0);
+        let droop = curve.delay_factor(0.68);
+        assert!(
+            (noisy.worst_delay_factor(&curve) / droop - 1.0 - WORST_FACTOR_GUARD_BAND).abs()
+                < 1e-12
+        );
     }
 
     #[test]

@@ -57,6 +57,6 @@ pub use registry::{
     DEFAULT_EVENT_CAPACITY, FAULT_MODEL_LABELS, PRIORITY_LABELS,
 };
 pub use span::{
-    chrome_trace_json, trace, CounterRecord, Span, SpanRecord, TraceRecord, TraceStore,
+    chrome_trace_json, trace, CounterRecord, Span, SpanArgs, SpanRecord, TraceRecord, TraceStore,
     DEFAULT_TRACE_CAPACITY,
 };

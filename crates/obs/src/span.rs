@@ -86,7 +86,130 @@ pub struct SpanRecord {
     /// Duration in microseconds.
     pub dur_us: u64,
     /// Free-form args, shown in the trace viewer's detail pane.
-    pub args: Vec<(&'static str, FieldValue)>,
+    pub args: SpanArgs,
+}
+
+/// Numeric args a [`SpanArgs`] holds without a heap allocation.
+const INLINE_ARGS: usize = 2;
+
+/// A span's free-form args, in insertion order.
+///
+/// Up to two numeric args are stored inline, so the `cell`/`trial` pair
+/// of a per-trial span costs no allocation; a string arg or a third arg
+/// moves the list to a `Vec`.
+#[derive(Debug, Clone)]
+pub struct SpanArgs(ArgStore);
+
+#[derive(Debug, Clone)]
+enum ArgStore {
+    /// `len` numeric args; `bits[i]` holds a `u64`, or an `f64`'s bits
+    /// when bit `i` of `floats` is set.
+    Inline {
+        len: u8,
+        floats: u8,
+        names: [&'static str; INLINE_ARGS],
+        bits: [u64; INLINE_ARGS],
+    },
+    Heap(Vec<(&'static str, FieldValue)>),
+}
+
+impl Default for SpanArgs {
+    fn default() -> Self {
+        SpanArgs(ArgStore::Inline {
+            len: 0,
+            floats: 0,
+            names: [""; INLINE_ARGS],
+            bits: [0; INLINE_ARGS],
+        })
+    }
+}
+
+impl SpanArgs {
+    /// Appends an arg.
+    fn push(&mut self, name: &'static str, value: FieldValue) {
+        if let ArgStore::Inline {
+            len,
+            floats,
+            names,
+            bits,
+        } = &mut self.0
+        {
+            let slot = usize::from(*len);
+            let raw = match &value {
+                FieldValue::U64(n) => Some((*n, 0)),
+                FieldValue::F64(x) => Some((x.to_bits(), 1)),
+                FieldValue::Str(_) => None,
+            };
+            match raw {
+                Some((raw, float)) if slot < INLINE_ARGS => {
+                    names[slot] = name;
+                    bits[slot] = raw;
+                    *floats |= float << slot;
+                    *len += 1;
+                    return;
+                }
+                _ => self.0 = ArgStore::Heap(self.iter().collect()),
+            }
+        }
+        if let ArgStore::Heap(args) = &mut self.0 {
+            args.push((name, value));
+        }
+    }
+
+    fn len(&self) -> usize {
+        match &self.0 {
+            ArgStore::Inline { len, .. } => usize::from(*len),
+            ArgStore::Heap(args) => args.len(),
+        }
+    }
+
+    /// The args in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, FieldValue)> + '_ {
+        (0..self.len()).map(move |i| match &self.0 {
+            ArgStore::Inline {
+                floats,
+                names,
+                bits,
+                ..
+            } => {
+                let value = if floats >> i & 1 == 1 {
+                    FieldValue::F64(f64::from_bits(bits[i]))
+                } else {
+                    FieldValue::U64(bits[i])
+                };
+                (names[i], value)
+            }
+            ArgStore::Heap(args) => args[i].clone(),
+        })
+    }
+}
+
+impl PartialEq for SpanArgs {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl FromIterator<(&'static str, FieldValue)> for SpanArgs {
+    fn from_iter<I: IntoIterator<Item = (&'static str, FieldValue)>>(iter: I) -> Self {
+        let mut args = SpanArgs::default();
+        for (name, value) in iter {
+            args.push(name, value);
+        }
+        args
+    }
+}
+
+impl From<Vec<(&'static str, FieldValue)>> for SpanArgs {
+    fn from(args: Vec<(&'static str, FieldValue)>) -> Self {
+        args.into_iter().collect()
+    }
+}
+
+impl<const N: usize> From<[(&'static str, FieldValue); N]> for SpanArgs {
+    fn from(args: [(&'static str, FieldValue); N]) -> Self {
+        args.into_iter().collect()
+    }
 }
 
 /// A sampled counter series (Chrome `"ph":"C"`): one timestamped set of
@@ -150,7 +273,7 @@ impl Span {
                 job: None,
                 start_us: clock::now_micros(),
                 dur_us: 0,
-                args: Vec::new(),
+                args: SpanArgs::default(),
             }),
         }
     }
@@ -176,7 +299,7 @@ impl Span {
     /// Attaches a free-form arg (builder style).
     pub fn arg(mut self, name: &'static str, value: impl Into<FieldValue>) -> Span {
         if let Some(record) = self.record.as_mut() {
-            record.args.push((name, value.into()));
+            record.args.push(name, value.into());
         }
         self
     }
@@ -184,7 +307,7 @@ impl Span {
     /// Attaches a free-form arg to an already-bound span.
     pub fn set_arg(&mut self, name: &'static str, value: impl Into<FieldValue>) {
         if let Some(record) = self.record.as_mut() {
-            record.args.push((name, value.into()));
+            record.args.push(name, value.into());
         }
     }
 
@@ -203,7 +326,8 @@ impl Drop for Span {
 
 /// Emits a span record with explicit timestamps, for intervals that do
 /// not map to one RAII scope (a cell spanning several workers, a job's
-/// queued segment).  Returns the new span's id.
+/// queued segment).  Returns the new span's id.  Passing `args` as an
+/// array of at most two numeric args allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn record_span(
     name: &'static str,
@@ -212,7 +336,7 @@ pub fn record_span(
     dur_us: u64,
     parent: u64,
     job: Option<u64>,
-    args: Vec<(&'static str, FieldValue)>,
+    args: impl Into<SpanArgs>,
 ) -> u64 {
     let id = next_span_id();
     push_record(TraceRecord::Span(SpanRecord {
@@ -224,7 +348,7 @@ pub fn record_span(
         job,
         start_us,
         dur_us,
-        args,
+        args: args.into(),
     }));
     id
 }
@@ -396,7 +520,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                 if let Some(job) = span.job {
                     let _ = write!(out, ",\"job\":{job}");
                 }
-                for (name, value) in &span.args {
+                for (name, value) in span.args.iter() {
                     let _ = write!(out, ",{}:", json_string(name));
                     match value {
                         FieldValue::U64(n) => {
@@ -406,7 +530,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                             let _ = write!(out, "{x}");
                         }
                         FieldValue::F64(_) => out.push_str("null"),
-                        FieldValue::Str(s) => out.push_str(&json_string(s)),
+                        FieldValue::Str(s) => out.push_str(&json_string(&s)),
                     }
                 }
                 out.push_str("}}");
@@ -497,7 +621,7 @@ mod tests {
             })
             .expect("child span reached the store");
         assert_eq!(child.name, "child");
-        assert_eq!(child.args, vec![("trials", FieldValue::U64(6))]);
+        assert_eq!(child.args, [("trials", FieldValue::U64(6))].into());
         assert_eq!(
             child.job, None,
             "job attribution is per span, not inherited"
@@ -547,7 +671,8 @@ mod tests {
                 args: vec![
                     ("trials", FieldValue::U64(6)),
                     ("note", FieldValue::Str("x".into())),
-                ],
+                ]
+                .into(),
             }),
         ];
         let json = chrome_trace_json(&records);
@@ -563,6 +688,36 @@ mod tests {
         assert!(json.contains("\"trials\":6"));
         assert!(json.contains("\"busy_us\":700"));
         assert!(json.contains("\"idle_us\":null"), "{json}");
+    }
+
+    #[test]
+    fn two_numeric_args_stay_inline_and_others_spill_in_order() {
+        let inline: SpanArgs = [
+            ("cell", FieldValue::U64(3)),
+            ("rate", FieldValue::F64(-0.5)),
+        ]
+        .into();
+        assert!(matches!(inline.0, ArgStore::Inline { len: 2, .. }));
+        assert_eq!(
+            inline.iter().collect::<Vec<_>>(),
+            vec![
+                ("cell", FieldValue::U64(3)),
+                ("rate", FieldValue::F64(-0.5))
+            ]
+        );
+        let mut spilled = inline.clone();
+        spilled.push("third", FieldValue::U64(7));
+        assert!(matches!(spilled.0, ArgStore::Heap(_)));
+        assert_eq!(spilled.len(), 3);
+        assert_eq!(spilled.iter().nth(1), Some(("rate", FieldValue::F64(-0.5))));
+        let text: SpanArgs = [("name", FieldValue::from("x"))].into();
+        assert!(matches!(text.0, ArgStore::Heap(_)));
+        assert_eq!(text.iter().next(), Some(("name", FieldValue::from("x"))));
+        // Equality is by content, whatever the storage.
+        let heap_pair = SpanArgs(ArgStore::Heap(inline.iter().collect()));
+        assert_eq!(heap_pair, inline);
+        assert_ne!(spilled, inline);
+        assert_eq!(SpanArgs::default().len(), 0);
     }
 
     #[test]

@@ -152,10 +152,10 @@ fn trace_record_to_json(record: &TraceRecord) -> Json {
                         .map(|(name, value)| {
                             let encoded = match value {
                                 FieldValue::U64(v) => Json::Str(v.to_string()),
-                                FieldValue::F64(v) => Json::Num(*v),
-                                FieldValue::Str(v) => Json::Str(v.clone()),
+                                FieldValue::F64(v) => Json::Num(v),
+                                FieldValue::Str(v) => Json::Str(v),
                             };
-                            (*name, encoded)
+                            (name, encoded)
                         })
                         .collect::<Vec<_>>(),
                 ),
@@ -440,7 +440,7 @@ mod tests {
                 job: Some(7),
                 start_us: 100,
                 dur_us: 42,
-                args: vec![("cell", FieldValue::U64(1))],
+                args: [("cell", FieldValue::U64(1))].into(),
             }),
             TraceRecord::Counter(CounterRecord {
                 name: "worker_utilization",

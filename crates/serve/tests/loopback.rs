@@ -51,8 +51,12 @@ fn two_cell_def(sta: f64) -> CampaignDef {
     def
 }
 
-/// A longer campaign: `cells` median cells mostly below the STA limit, so
-/// trials are slow enough for mid-run cancellation/preemption to land.
+/// A longer campaign: `cells` median cells from just below the STA limit
+/// upwards, so trials are slow enough for mid-run cancellation/preemption
+/// to land.
+/// Cells start at 0.98 x STA: below ~0.97 x STA (10 mV noise) the model-C
+/// injector provably never faults and every trial after the first returns
+/// the cached golden result in O(1), which would make the job instant.
 fn long_def(name: &str, sta: f64, cells: usize, trials: usize) -> CampaignDef {
     let mut def = CampaignDef::new(name, 1);
     let median = def.add_benchmark(BenchmarkDef::Median {
@@ -63,7 +67,7 @@ fn long_def(name: &str, sta: f64, cells: usize, trials: usize) -> CampaignDef {
         def.cells.push(CellDef {
             benchmark: median,
             model: FaultModel::StatisticalDta,
-            freq_mhz: sta * (0.9 + 0.01 * i as f64),
+            freq_mhz: sta * (0.98 + 0.01 * i as f64),
             vdd: 0.7,
             noise_sigma_mv: 10.0,
             budget: BudgetDef::fixed(trials),

@@ -40,6 +40,9 @@ fn two_cell_def(name: &str, sta: f64) -> CampaignDef {
 }
 
 /// A slow, many-cell campaign for mid-run preemption.
+/// Cells start at 0.98 x STA: below ~0.97 x STA (10 mV noise) the model-C
+/// injector provably never faults and every trial after the first returns
+/// the cached golden result in O(1), which would make the job instant.
 fn long_def(name: &str, sta: f64, cells: usize, trials: usize) -> CampaignDef {
     let mut def = CampaignDef::new(name, 1);
     let median = def.add_benchmark(BenchmarkDef::Median {
@@ -50,7 +53,7 @@ fn long_def(name: &str, sta: f64, cells: usize, trials: usize) -> CampaignDef {
         def.cells.push(CellDef {
             benchmark: median,
             model: FaultModel::StatisticalDta,
-            freq_mhz: sta * (0.9 + 0.01 * i as f64),
+            freq_mhz: sta * (0.98 + 0.01 * i as f64),
             vdd: 0.7,
             noise_sigma_mv: 10.0,
             budget: BudgetDef::fixed(trials),

@@ -104,6 +104,31 @@ impl VddDelayCurve {
         f[lo] + t * (f[hi] - f[lo])
     }
 
+    /// The largest [`VddDelayCurve::delay_factor`] over the supply range
+    /// `[lo, hi]`.
+    ///
+    /// A piecewise-linear curve reaches its maximum over an interval at
+    /// an end of the interval or at a sample knot inside it, so this takes
+    /// the maximum of both ends and of every knot strictly between them.
+    /// No monotonicity is assumed, so curves built with
+    /// [`VddDelayCurve::from_samples`] are bounded soundly as well.  The
+    /// result can still be a few ulps below a value `delay_factor`
+    /// computes inside a segment (interpolation rounds); callers that need
+    /// a hard bound add a relative guard band.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub fn max_delay_factor(&self, lo: f64, hi: f64) -> f64 {
+        assert!(lo <= hi, "empty voltage range [{lo}, {hi}]");
+        self.voltages
+            .iter()
+            .zip(&self.factors)
+            .filter(|(&v, _)| lo < v && v < hi)
+            .map(|(_, &f)| f)
+            .fold(self.delay_factor(lo).max(self.delay_factor(hi)), f64::max)
+    }
+
     /// Per-cycle delay scaling factor caused by a momentary noise excursion
     /// `noise_volts` around the nominal supply `vdd`.
     ///
@@ -200,6 +225,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn max_delay_factor_covers_ends_and_inner_knots() {
+        // Non-monotone: a bump at 0.7 V that neither end of [0.65, 0.75]
+        // sees.
+        let c = VddDelayCurve::from_samples(&[(0.6, 1.2), (0.7, 1.5), (0.8, 0.9)]);
+        assert_eq!(c.max_delay_factor(0.65, 0.75), 1.5);
+        assert_eq!(c.max_delay_factor(0.7, 0.7), 1.5);
+        assert!((c.max_delay_factor(0.72, 0.78) - c.delay_factor(0.72)).abs() < 1e-15);
+        // Clamped outside the sampled range.
+        assert_eq!(c.max_delay_factor(0.0, 0.55), 1.2);
+        // A monotone curve's maximum is its low end.
+        let m = curve();
+        assert_eq!(m.max_delay_factor(0.68, 0.72), m.delay_factor(0.68));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty voltage range")]
+    fn max_delay_factor_rejects_an_empty_range() {
+        curve().max_delay_factor(0.8, 0.7);
     }
 
     #[test]
