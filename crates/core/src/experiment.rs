@@ -160,14 +160,13 @@ pub fn watchdog_cycles(golden_cycles: u64) -> u64 {
 }
 
 /// Runs one trial on an already prepared core (architectural state and
-/// data memory reset, inputs *not* yet loaded).  Also returns whether the
-/// watchdog stopped the run.
+/// data memory reset, inputs *not* yet loaded).
 fn run_prepared_trial<F: FaultInjector + ?Sized>(
     core: &mut Core,
     benchmark: &dyn Benchmark,
     injector: &mut F,
     max_cycles: u64,
-) -> (TrialResult, bool) {
+) -> TrialResult {
     benchmark.initialize(core.memory_mut());
     let config = RunConfig {
         max_cycles,
@@ -175,33 +174,26 @@ fn run_prepared_trial<F: FaultInjector + ?Sized>(
         ..RunConfig::default()
     };
     let outcome = core.run_with_injector(&config, injector);
-    let watchdog = matches!(outcome, RunOutcome::Watchdog { .. });
-    count_trial(core.stats().cycles, watchdog);
+    // Sharded per-thread counters: one relaxed add each, no measurable
+    // cost next to the trial just simulated.
+    let obs = sfi_obs::metrics();
+    obs.trials.inc();
+    obs.iss_cycles.add(core.stats().cycles);
+    if matches!(outcome, RunOutcome::Watchdog { .. }) {
+        obs.iss_watchdog_trips.inc();
+    }
     let finished = outcome.finished();
     let output_error = if finished {
         benchmark.output_error(core.memory())
     } else {
         f64::NAN
     };
-    let result = TrialResult {
+    TrialResult {
         finished,
         correct: finished && output_error == 0.0,
         output_error,
         fi_rate_per_kcycle: core.stats().fi_rate_per_kcycle(),
         cycles: core.stats().cycles,
-    };
-    (result, watchdog)
-}
-
-/// Bumps the process-wide counters of one simulated trial.  Sharded
-/// per-thread counters: one relaxed add each, no measurable cost next to
-/// the trial itself.
-fn count_trial(cycles: u64, watchdog: bool) {
-    let obs = sfi_obs::metrics();
-    obs.trials.inc();
-    obs.iss_cycles.add(cycles);
-    if watchdog {
-        obs.iss_watchdog_trips.inc();
     }
 }
 
@@ -211,7 +203,7 @@ fn run_one_trial<F: FaultInjector + ?Sized>(
     max_cycles: u64,
 ) -> TrialResult {
     let mut core = Core::new(benchmark.program().clone(), benchmark.dmem_words());
-    run_prepared_trial(&mut core, benchmark, injector, max_cycles).0
+    run_prepared_trial(&mut core, benchmark, injector, max_cycles)
 }
 
 /// Number of fault-free cycles of a benchmark (used to size the watchdog
@@ -284,21 +276,21 @@ impl CachedInjector {
 /// core, and a reseeded injector equals a newly built one because all
 /// expensive injector state is trial-invariant and `Arc`-shared.
 ///
-/// Trials whose injector [never faults](FaultInjector::never_faults) skip
-/// the ISS: the first one per benchmark and watchdog limit runs the core
-/// fault-free and is kept, later ones return that result in O(1).  A zero
-/// mask on every cycle makes the run identical to the fault-free run, and
-/// the RNG state the skipped draws would have advanced is discarded when
-/// the trial ends, so this is bit-identical too.
+/// Trials whose injector [never faults](FaultInjector::never_faults) run
+/// the core with [`NoFaultInjector`], skipping the per-cycle noise draws:
+/// a zero mask on every cycle makes the run identical to the fault-free
+/// run, and the RNG state the skipped draws would have advanced is
+/// discarded when the trial ends, so this is bit-identical too.  Every
+/// such trial is still simulated, so a trial costs the same whatever
+/// trials came before it.
 ///
 /// The context is deliberately *not* `Sync`: every campaign worker thread
 /// owns one.
 #[derive(Debug, Default)]
 pub struct TrialContext {
-    /// One recycled core (and cached fault-free trial) per benchmark,
-    /// keyed by the caller's benchmark key (the campaign engine uses the
-    /// spec's benchmark index).
-    benchmarks: Vec<BenchmarkSlot>,
+    /// One recycled core per benchmark, keyed by the caller's benchmark
+    /// key (the campaign engine uses the spec's benchmark index).
+    cores: Vec<(usize, Core)>,
     /// The last trial's injector, reusable while the study (identified by
     /// its share token — see [`CaseStudy::share_token`]), fault model and
     /// operating point repeat.  Holding the token `Arc` also guarantees
@@ -315,55 +307,6 @@ struct CachedTrialInjector {
     injector: CachedInjector,
 }
 
-/// One benchmark's recycled core and its fault-free trial.
-#[derive(Debug)]
-struct BenchmarkSlot {
-    key: usize,
-    core: Core,
-    golden: Option<GoldenTrial>,
-}
-
-/// A fault-free trial at one watchdog limit, with the watchdog bit its
-/// counters need.
-#[derive(Debug, Clone, Copy)]
-struct GoldenTrial {
-    max_cycles: u64,
-    result: TrialResult,
-    watchdog: bool,
-}
-
-impl BenchmarkSlot {
-    fn run<F: FaultInjector + ?Sized>(
-        &mut self,
-        benchmark: &dyn Benchmark,
-        injector: &mut F,
-        max_cycles: u64,
-    ) -> (TrialResult, bool) {
-        self.core.reset_full();
-        run_prepared_trial(&mut self.core, benchmark, injector, max_cycles)
-    }
-
-    /// The fault-free trial at `max_cycles`: simulated once, then returned
-    /// from the cache with the same counter bumps a simulated trial makes.
-    fn golden_trial(&mut self, benchmark: &dyn Benchmark, max_cycles: u64) -> TrialResult {
-        match self.golden {
-            Some(golden) if golden.max_cycles == max_cycles => {
-                count_trial(golden.result.cycles, golden.watchdog);
-                golden.result
-            }
-            _ => {
-                let (result, watchdog) = self.run(benchmark, &mut NoFaultInjector, max_cycles);
-                self.golden = Some(GoldenTrial {
-                    max_cycles,
-                    result,
-                    watchdog,
-                });
-                result
-            }
-        }
-    }
-}
-
 impl TrialContext {
     /// An empty context (no cores, no cached injector).
     pub fn new() -> Self {
@@ -375,11 +318,11 @@ impl TrialContext {
     ///
     /// `benchmark_key` must uniquely identify `benchmark` among all
     /// benchmarks this context is used with (e.g. its index in the
-    /// campaign spec); the cached core and fault-free trial of a key are
-    /// only valid for the benchmark they were built from.  The injector
-    /// cache keys itself on the study's identity (in addition to model and
-    /// operating point), so alternating between different studies is
-    /// safe — it merely forgoes the reuse.
+    /// campaign spec); the cached core of a key is only valid for the
+    /// benchmark it was built from.  The injector cache keys itself on
+    /// the study's identity (in addition to model and operating point),
+    /// so alternating between different studies is safe — it merely
+    /// forgoes the reuse.
     ///
     /// The result is bit-identical to
     /// [`run_single_trial`] with the same arguments.
@@ -415,30 +358,30 @@ impl TrialContext {
                 injector: CachedInjector::build(study, model, point, trial_seed),
             },
         };
-        let bench = match self.benchmarks.iter().position(|b| b.key == benchmark_key) {
-            Some(index) => &mut self.benchmarks[index],
+        let core = match self.cores.iter().position(|(key, _)| *key == benchmark_key) {
+            Some(index) => {
+                let core = &mut self.cores[index].1;
+                core.reset_full();
+                core
+            }
             None => {
-                self.benchmarks.push(BenchmarkSlot {
-                    key: benchmark_key,
-                    core: Core::new(benchmark.program().clone(), benchmark.dmem_words()),
-                    golden: None,
-                });
-                self.benchmarks.last_mut().expect("just pushed")
+                let core = Core::new(benchmark.program().clone(), benchmark.dmem_words());
+                self.cores.push((benchmark_key, core));
+                &mut self.cores.last_mut().expect("just pushed").1
             }
         };
         let injector = slot.injector.as_injector_mut();
         let result = if injector.never_faults() {
-            bench.golden_trial(benchmark, max_cycles)
+            run_prepared_trial(core, benchmark, &mut NoFaultInjector, max_cycles)
         } else {
-            let (result, _) = bench.run(benchmark, injector, max_cycles);
-            let faults = bench.core.stats().injected_faults;
-            if faults > 0 {
-                sfi_obs::metrics()
-                    .iss_faults_for(model_metric_index(model))
-                    .add(faults);
-            }
-            result
+            run_prepared_trial(core, benchmark, injector, max_cycles)
         };
+        let faults = core.stats().injected_faults;
+        if faults > 0 {
+            sfi_obs::metrics()
+                .iss_faults_for(model_metric_index(model))
+                .add(faults);
+        }
         self.injector = Some(slot);
         result
     }
@@ -821,7 +764,7 @@ mod tests {
     }
 
     /// The trial simulated on a fresh core with the real injector — never
-    /// the golden shortcut — as the reference the cached paths must equal.
+    /// the fault-free path — as the reference the cached paths must equal.
     fn full_path_trial(
         study: &CaseStudy,
         bench: &dyn Benchmark,
@@ -832,7 +775,7 @@ mod tests {
     ) -> TrialResult {
         let mut injector = CachedInjector::build(study, model, point, seed);
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
-        run_prepared_trial(&mut core, bench, injector.as_injector_mut(), max_cycles).0
+        run_prepared_trial(&mut core, bench, injector.as_injector_mut(), max_cycles)
     }
 
     fn assert_bit_identical(a: TrialResult, b: TrialResult, what: &str) {
@@ -854,7 +797,7 @@ mod tests {
         let sta = study.sta_limit_mhz(0.7);
         let noisy = |scale: f64| OperatingPoint::new(sta * scale, 0.7).with_noise_sigma_mv(10.0);
         // A transition cell on the full path, then below-limit cells of
-        // models B, B+ and C whose injectors never fault (golden reuse).
+        // models B, B+ and C whose injectors never fault (fault-free path).
         let cells = [
             (FaultModel::StatisticalDta, noisy(1.2), false),
             (
@@ -888,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn golden_reuse_is_keyed_on_the_watchdog_limit() {
+    fn fault_free_path_honours_the_watchdog_limit() {
         let study = fast_study();
         let bench = MedianBenchmark::new(21, 3);
         let golden = golden_cycles(&bench);
@@ -896,8 +839,8 @@ mod tests {
             OperatingPoint::new(study.sta_limit_mhz(0.7) * 0.9, 0.7).with_noise_sigma_mv(10.0);
         let model = FaultModel::StatisticalDta;
         let mut context = TrialContext::new();
-        // A limit below the golden run trips the watchdog; alternating
-        // limits must never hand one limit's cached result to another.
+        // A limit below the golden run trips the watchdog; the fault-free
+        // path must stop where the full path stops, at every limit.
         for max_cycles in [golden / 2, watchdog_cycles(golden), golden / 2, golden] {
             for trial in 0..3u64 {
                 let seed = derive_trial_seed(4, 0, trial);

@@ -54,12 +54,12 @@ pub trait FaultInjector {
     /// of every run, whatever the program and the RNG state.
     ///
     /// A `true` answer is a proof obligation, not a hint: the trial
-    /// harness then skips the ISS run and returns the cached fault-free
-    /// (golden) result instead.  That is bit-identical because a zero mask
-    /// on every cycle leaves the run, and its statistics, exactly as the
-    /// golden run; and the RNG draws the skipped run would have made only
-    /// advance the trial's own generator, which is reseeded for the next
-    /// trial, so its state is discarded when the trial ends.
+    /// harness then runs the ISS with [`NoFaultInjector`] instead of this
+    /// injector.  That is bit-identical because a zero mask on every cycle
+    /// leaves the run, and its statistics, exactly as the golden run; and
+    /// the RNG draws the skipped calls would have made only advance the
+    /// trial's own generator, which is reseeded for the next trial, so its
+    /// state is discarded when the trial ends.
     ///
     /// The `sfi-fault` models answer once, when they are built.  Model B
     /// compares its STA endpoint delays with the period.  Models B+ and C

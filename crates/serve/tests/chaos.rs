@@ -54,8 +54,8 @@ fn two_cell_def(sta: f64) -> CampaignDef {
 
 /// A campaign slow enough that a kill or drain lands mid-run.
 /// Cells start at 0.98 x STA: below ~0.97 x STA (10 mV noise) the model-C
-/// injector provably never faults and every trial after the first returns
-/// the cached golden result in O(1), which would make the job instant.
+/// injector provably never faults and trials run fault-free, skipping the
+/// per-cycle noise draws, which would make the job several times shorter.
 fn long_def(name: &str, sta: f64, cells: usize, trials: usize) -> CampaignDef {
     let mut def = CampaignDef::new(name, 1);
     let median = def.add_benchmark(BenchmarkDef::Median {

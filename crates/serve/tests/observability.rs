@@ -41,8 +41,8 @@ fn two_cell_def(name: &str, sta: f64) -> CampaignDef {
 
 /// A slow, many-cell campaign for mid-run preemption.
 /// Cells start at 0.98 x STA: below ~0.97 x STA (10 mV noise) the model-C
-/// injector provably never faults and every trial after the first returns
-/// the cached golden result in O(1), which would make the job instant.
+/// injector provably never faults and trials run fault-free, skipping the
+/// per-cycle noise draws, which would make the job several times shorter.
 fn long_def(name: &str, sta: f64, cells: usize, trials: usize) -> CampaignDef {
     let mut def = CampaignDef::new(name, 1);
     let median = def.add_benchmark(BenchmarkDef::Median {

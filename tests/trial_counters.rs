@@ -1,5 +1,5 @@
-//! The process-wide trial counters under `TrialContext`'s golden-result
-//! reuse.
+//! The process-wide trial counters under `TrialContext`'s fault-free path
+//! (trials whose injector never faults run with `NoFaultInjector`).
 //!
 //! This is the only test of its binary, so the counters move by exactly
 //! what it runs: its deltas need no lock against other tests.
@@ -44,13 +44,13 @@ fn reference_run(
 }
 
 #[test]
-fn golden_reuse_counts_trials_cycles_and_watchdog_trips_like_full_runs() {
+fn fault_free_path_counts_trials_cycles_and_watchdog_trips_like_full_runs() {
     let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
     let bench = MedianBenchmark::new(21, 3);
     let sta = study.sta_limit_mhz(0.7);
     let golden = golden_cycles(&bench);
     let noisy = |scale: f64| OperatingPoint::new(sta * scale, 0.7).with_noise_sigma_mv(10.0);
-    // Below-limit cells of models B, B+ and C (golden reuse), then a
+    // Below-limit cells of models B, B+ and C (fault-free path), then a
     // transition cell on the full path.
     let cells = [
         (
