@@ -21,14 +21,14 @@
 //!   of cancelled or evicted jobs.
 //! * [`span`] — lightweight start/stop spans ([`Span`]) with parent
 //!   links, buffered per thread and drained into the bounded process-wide
-//!   trace store ([`trace`]), plus sampled counter tracks and a Chrome
-//!   trace-event serializer ([`chrome_trace_json`]) loadable in
-//!   `chrome://tracing` / Perfetto.
-//! * [`alerts`] — declarative threshold rules ([`AlertRule`]: gauge above
-//!   a limit for N seconds, counter rate above a limit) evaluated against
-//!   registry snapshots into firing/resolved [`AlertStatus`] state.
+//!   trace store ([`trace`]), plus sampled counter tracks and the one
+//!   trace serializer, [`chrome_trace_json`]: Chrome trace-event JSON,
+//!   loadable in `chrome://tracing` / Perfetto, which every trace surface
+//!   of the daemon (the `trace` frame, `GET /trace`) carries.
 //! * [`clock`] — the shared monotonic clock behind every timestamp.
-//! * [`prometheus`] — text exposition rendering of a snapshot.
+//! * [`prometheus`] — text exposition rendering of a snapshot.  Alerting
+//!   happens outside the process: `docs/prometheus/sfi-alerts.rules.yml`
+//!   holds Prometheus rules over the exported families.
 //!
 //! The overhead contract: nothing in this crate takes a lock on a
 //! per-trial path, and per-trial updates are a handful of relaxed atomic
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alerts;
 pub mod clock;
 pub mod event;
 pub mod metric;
@@ -49,7 +48,6 @@ pub mod prometheus;
 pub mod registry;
 pub mod span;
 
-pub use alerts::{default_rules, AlertCondition, AlertRule, AlertStatus, Alerts};
 pub use event::{Event, EventRing, FieldValue};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedCounter};
 pub use registry::{

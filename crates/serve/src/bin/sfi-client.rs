@@ -47,14 +47,13 @@ commands:
   events                print recent structured events, oldest first, as JSON lines
       [--limit N]                    at most N events (default 100)
       [--job JOB]                    only events tagged with this job id
-  trace                 print recent trace records (spans and utilization counters),
-                        oldest first, as JSON lines
+  trace                 print recent trace records (spans and utilization counters)
+                        as Chrome trace-event JSON lines, sorted by timestamp
       [--limit N]                    at most N records (default 1000)
       [--job JOB]                    only records tagged with this job id
-      [--chrome FILE]                write a Chrome trace-event file instead (load it
-                                     in chrome://tracing or ui.perfetto.dev)
-  alerts                evaluate the daemon's alert rules and print one status line
-                        per rule (firing state, observed value vs threshold)
+      [--chrome FILE]                write them to FILE as one Chrome trace-event array
+                                     instead (load it in chrome://tracing or
+                                     ui.perfetto.dev)
   poff KERNEL LO HI     bisect the point of first failure of a builtin kernel
                         (KERNEL: median | matmul8 | matmul16 | kmeans | dijkstra
                                  | fft | fir | crc32 | bitonic)
@@ -214,82 +213,6 @@ fn print_metrics(snapshot: &Json) {
             }
         }
     }
-}
-
-/// Converts one wire trace record (`trace` frame `spans` entry) to a
-/// Chrome trace-event object: decimal-string timestamps become numbers,
-/// `ts_us`/`dur_us` become `ts`/`dur`, and span ids join the args.
-fn chrome_event_from_wire(record: &Json) -> Option<Json> {
-    let ph = record.get("ph").and_then(Json::as_str)?;
-    let name = record.get("name").and_then(Json::as_str).unwrap_or("?");
-    let tid = record.get("tid").and_then(Json::as_u64).unwrap_or(0);
-    let ts = record.get("ts_us").and_then(Json::as_u64).unwrap_or(0);
-    let mut pairs = vec![
-        ("name", Json::Str(name.into())),
-        ("ph", Json::Str(ph.into())),
-        ("pid", Json::Num(1.0)),
-        ("tid", Json::Num(tid as f64)),
-        ("ts", Json::Num(ts as f64)),
-    ];
-    let mut args: Vec<(String, Json)> = Vec::new();
-    match ph {
-        "X" => {
-            let cat = record.get("cat").and_then(Json::as_str).unwrap_or("span");
-            pairs.push(("cat", Json::Str(cat.into())));
-            let dur = record.get("dur_us").and_then(Json::as_u64).unwrap_or(0);
-            pairs.push(("dur", Json::Num(dur as f64)));
-            for key in ["id", "parent", "job"] {
-                if let Some(v) = record.get(key).and_then(Json::as_u64) {
-                    args.push((key.to_string(), Json::Num(v as f64)));
-                }
-            }
-            if let Some(Json::Obj(map)) = record.get("args") {
-                for (key, value) in map {
-                    // Wire u64s travel as decimal strings; numbers read
-                    // better in the trace viewer's args pane.
-                    let decoded = match value.as_u64() {
-                        Some(n) => Json::Num(n as f64),
-                        None => value.clone(),
-                    };
-                    args.push((key.clone(), decoded));
-                }
-            }
-        }
-        "C" => {
-            if let Some(Json::Obj(map)) = record.get("series") {
-                for (key, value) in map {
-                    args.push((key.clone(), value.clone()));
-                }
-            }
-        }
-        _ => return None,
-    }
-    pairs.push((
-        "args",
-        Json::Obj(
-            args.into_iter()
-                .collect::<std::collections::BTreeMap<_, _>>(),
-        ),
-    ));
-    Some(Json::obj(pairs))
-}
-
-/// Renders wire trace records as a Chrome trace-event JSON array, sorted
-/// by timestamp so `ts` is monotonic within the file.
-fn chrome_trace_from_wire(records: &[Json]) -> String {
-    let mut events: Vec<(u64, Json)> = records
-        .iter()
-        .filter_map(|record| {
-            let ts = record.get("ts_us").and_then(Json::as_u64).unwrap_or(0);
-            chrome_event_from_wire(record).map(|event| (ts, event))
-        })
-        .collect();
-    events.sort_by_key(|&(ts, _)| ts);
-    let body: Vec<String> = events
-        .into_iter()
-        .map(|(_, event)| event.to_string())
-        .collect();
-    format!("[{}]\n", body.join(",\n "))
 }
 
 fn main() {
@@ -640,51 +563,25 @@ fn run(
                 i += 1;
             }
             let (spans, dropped) = client.trace(limit, job)?;
-            let records = spans.as_arr().map(<[Json]>::to_vec).unwrap_or_default();
+            let records = spans.as_arr().unwrap_or_default();
             match chrome {
                 Some(path) => {
-                    let text = chrome_trace_from_wire(&records);
-                    let events = records.len();
-                    std::fs::write(&path, text)
+                    std::fs::write(&path, format!("{spans}\n"))
                         .unwrap_or_else(|err| fail(format!("cannot write {path}: {err}")));
                     println!(
-                        "wrote {events} trace event(s) to {path} \
-                         (load in chrome://tracing or ui.perfetto.dev)"
+                        "wrote {} trace event(s) to {path} \
+                         (load in chrome://tracing or ui.perfetto.dev)",
+                        records.len()
                     );
                 }
                 None => {
-                    for record in &records {
+                    for record in records {
                         println!("{record}");
                     }
                 }
             }
             if dropped > 0 {
                 eprintln!("({dropped} older record(s) dropped by the trace store)");
-            }
-        }
-        "alerts" => {
-            let alerts = client.alerts()?;
-            for status in alerts.as_arr().unwrap_or_default() {
-                let rule = status.get("rule").and_then(Json::as_str).unwrap_or("?");
-                let family = status.get("family").and_then(Json::as_str).unwrap_or("?");
-                let firing = status
-                    .get("firing")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false);
-                let value = status.get("value").and_then(Json::as_f64).unwrap_or(0.0);
-                let threshold = status
-                    .get("threshold")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let fired = status
-                    .get("fired_total")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                println!(
-                    "{rule} [{family}] {}  value {value}, threshold {threshold}, \
-                     fired {fired} time(s)",
-                    if firing { "FIRING" } else { "ok" },
-                );
             }
         }
         "poff" => {

@@ -46,12 +46,6 @@ options:
                              'metrics' wire frame works without it; port 0 = ephemeral)
   --event-buffer N           capacity of the structured-event ring buffer (default 1024;
                              overflow drops the oldest events and counts them)
-  --alert-queue-depth N      queue-depth level (total queued jobs) above which the
-                             scheduler_queue_saturated alert arms (default 8)
-  --alert-hold-seconds S     seconds the queue must stay saturated before the alert fires
-                             (default 5; 0 = fire on the first saturated evaluation)
-  --alert-drop-rate R        event-ring drop rate (events/second) above which the
-                             event_ring_dropping alert fires (default 0 = any drops)
   --help                     print this help
 
 Scheduling: submitted jobs carry a priority class (low/normal/high); dispatch is strict
@@ -66,8 +60,8 @@ fn fail(message: impl std::fmt::Display) -> ! {
     exit(2);
 }
 
-/// Parses the next argument as a finite non-negative float (alert
-/// thresholds and hold durations).
+/// Parses the next argument as a finite non-negative float (timeouts in
+/// seconds).
 fn nonnegative(argv: &[String], i: &mut usize, flag: &str) -> f64 {
     *i += 1;
     argv.get(*i)
@@ -148,15 +142,6 @@ fn main() {
                     fail("--event-buffer must be at least 1");
                 }
                 config.event_buffer = Some(n);
-            }
-            "--alert-queue-depth" => {
-                config.alert_queue_depth = nonnegative(&argv, &mut i, "--alert-queue-depth")
-            }
-            "--alert-hold-seconds" => {
-                config.alert_hold_seconds = nonnegative(&argv, &mut i, "--alert-hold-seconds")
-            }
-            "--alert-drop-rate" => {
-                config.alert_drop_rate = nonnegative(&argv, &mut i, "--alert-drop-rate")
             }
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -269,8 +269,9 @@ impl Client {
         }
     }
 
-    /// Fetches recent trace records (oldest first) and the cumulative
-    /// store-overflow drop count; both arguments are optional on the wire.
+    /// Fetches recent trace records as Chrome trace-event objects (sorted
+    /// by timestamp) and the cumulative store-overflow drop count; both
+    /// arguments are optional on the wire.
     pub fn trace(
         &mut self,
         limit: Option<u64>,
@@ -280,15 +281,6 @@ impl Client {
         match self.receive()? {
             Response::Trace { spans, dropped } => Ok((spans, dropped)),
             other => Self::unexpected("trace", &other),
-        }
-    }
-
-    /// Evaluates the daemon's alert rules and fetches their statuses.
-    pub fn alerts(&mut self) -> Result<Json, ClientError> {
-        self.send(&Request::Alerts)?;
-        match self.receive()? {
-            Response::Alerts { alerts } => Ok(alerts),
-            other => Self::unexpected("alerts", &other),
         }
     }
 

@@ -9,7 +9,7 @@
 //! canonical encoder maps non-finite floats to `null`.
 
 use sfi_core::json::Json;
-use sfi_obs::{AlertStatus, Event, FieldValue, Sample, SampleValue, Snapshot, TraceRecord};
+use sfi_obs::{Event, FieldValue, Sample, SampleValue, Snapshot};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,120 +122,11 @@ pub fn events_to_json(events: &[Event]) -> Json {
     Json::Arr(events.iter().map(event_to_json).collect())
 }
 
-/// Encodes one trace record for the `trace` frame's `spans` member.
-///
-/// The `ph` member keeps the Chrome trace-event phase vocabulary (`"X"`
-/// complete span, `"C"` counter series) so clients can convert records to
-/// a `chrome://tracing` file mechanically; timestamps and span ids travel
-/// as decimal strings per the workspace u64 convention.
-fn trace_record_to_json(record: &TraceRecord) -> Json {
-    match record {
-        TraceRecord::Span(span) => {
-            let mut pairs = vec![
-                ("ph", Json::Str("X".into())),
-                ("name", Json::Str(span.name.into())),
-                ("cat", Json::Str(span.cat.into())),
-                ("tid", Json::Num(span.tid as f64)),
-                ("ts_us", Json::Str(span.start_us.to_string())),
-                ("dur_us", Json::Str(span.dur_us.to_string())),
-                ("id", Json::Str(span.id.to_string())),
-                ("parent", Json::Str(span.parent.to_string())),
-            ];
-            if let Some(job) = span.job {
-                pairs.push(("job", Json::Str(job.to_string())));
-            }
-            pairs.push((
-                "args",
-                Json::obj(
-                    span.args
-                        .iter()
-                        .map(|(name, value)| {
-                            let encoded = match value {
-                                FieldValue::U64(v) => Json::Str(v.to_string()),
-                                FieldValue::F64(v) => Json::Num(v),
-                                FieldValue::Str(v) => Json::Str(v),
-                            };
-                            (name, encoded)
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-            ));
-            Json::obj(pairs)
-        }
-        TraceRecord::Counter(counter) => {
-            let mut pairs = vec![
-                ("ph", Json::Str("C".into())),
-                ("name", Json::Str(counter.name.into())),
-                ("tid", Json::Num(counter.tid as f64)),
-                ("ts_us", Json::Str(counter.ts_us.to_string())),
-            ];
-            if let Some(job) = counter.job {
-                pairs.push(("job", Json::Str(job.to_string())));
-            }
-            pairs.push((
-                "series",
-                Json::obj(
-                    counter
-                        .series
-                        .iter()
-                        .map(|&(name, value)| (name, Json::Num(value)))
-                        .collect::<Vec<_>>(),
-                ),
-            ));
-            Json::obj(pairs)
-        }
-    }
-}
-
-/// Encodes a batch of trace records (oldest first) as the `trace` frame's
-/// `spans` member.
-pub fn trace_to_json(records: &[TraceRecord]) -> Json {
-    Json::Arr(records.iter().map(trace_record_to_json).collect())
-}
-
-/// Encodes alert-rule statuses as the `alerts` frame's `alerts` member.
-pub fn alerts_to_json(statuses: &[AlertStatus]) -> Json {
-    Json::Arr(
-        statuses
-            .iter()
-            .map(|status| {
-                Json::obj([
-                    ("rule", Json::Str(status.rule.clone())),
-                    ("family", Json::Str(status.family.clone())),
-                    ("kind", Json::Str(status.kind.into())),
-                    ("threshold", Json::Num(status.threshold)),
-                    (
-                        "value",
-                        if status.value.is_finite() {
-                            Json::Num(status.value)
-                        } else {
-                            Json::Null
-                        },
-                    ),
-                    ("firing", Json::Bool(status.firing)),
-                    (
-                        "since_us",
-                        match status.since_us {
-                            Some(us) => Json::Str(us.to_string()),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("fired_total", Json::Str(status.fired_total.to_string())),
-                    (
-                        "resolved_total",
-                        Json::Str(status.resolved_total.to_string()),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
 /// A minimal HTTP/1.x listener serving the daemon's observability routes:
 /// `GET /metrics` (Prometheus text exposition), `GET /healthz` (liveness
-/// JSON), `GET /trace` (Chrome trace-event JSON of the trace store) and
-/// `GET /alerts` (alert-rule statuses).  Unknown paths get 404, non-GET
-/// methods 405.
+/// JSON) and `GET /trace` (Chrome trace-event JSON of the trace store).
+/// Unknown paths get 404, non-GET methods 405, an over-long request line
+/// 400 and over-long or too many header lines 431.
 ///
 /// One thread, one connection at a time: scrapes are a few kilobytes every
 /// few seconds, and the snapshot itself is lock-free, so there is nothing
@@ -288,24 +179,58 @@ impl Drop for PrometheusListener {
     }
 }
 
+/// Longest request or header line the listener reads, terminator
+/// included; a longer line is refused without reading the rest.
+const MAX_HEAD_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines the listener reads before refusing the request.
+const MAX_HEADER_LINES: usize = 64;
+
+/// Reads one line of at most [`MAX_HEAD_LINE_BYTES`]; `None` when the
+/// peer sent more than that without a newline.
+fn read_head_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    io::Read::take(&mut *reader, MAX_HEAD_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
+    if line.len() == MAX_HEAD_LINE_BYTES && !line.ends_with(b"\n") {
+        return Ok(None);
+    }
+    Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+}
+
 /// Answers one request: parses the request line, routes on method and
 /// path, drains the remaining headers, writes one response and closes.
 ///
 /// The listener serves one connection at a time, so a silent peer would
-/// wedge every later scrape; a fixed deadline bounds the damage.
+/// wedge every later scrape; a fixed deadline bounds the damage, and the
+/// line caps bound what an untrusted peer can make it read.
 fn serve_scrape(stream: TcpStream) -> io::Result<()> {
     let deadline = Some(std::time::Duration::from_secs(10));
     stream.set_read_timeout(deadline)?;
     stream.set_write_timeout(deadline)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let Some(request_line) = read_head_line(&mut reader)? else {
+        return respond(
+            &mut writer,
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            "request line too long\n",
+        );
+    };
     // Drain headers up to the blank line; none of them affect routing.
+    let mut headers = 0;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-            break;
+        match read_head_line(&mut reader)? {
+            Some(line) if line.trim().is_empty() => break,
+            Some(_) if headers < MAX_HEADER_LINES => headers += 1,
+            _ => {
+                return respond(
+                    &mut writer,
+                    "431 Request Header Fields Too Large",
+                    "text/plain; charset=utf-8",
+                    "request header fields too large\n",
+                )
+            }
         }
     }
     let mut parts = request_line.split_whitespace();
@@ -332,28 +257,26 @@ fn serve_scrape(stream: TcpStream) -> io::Result<()> {
                 "application/json",
                 sfi_obs::chrome_trace_json(&sfi_obs::span::trace().snapshot(usize::MAX, None)),
             ),
-            "/alerts" => {
-                let statuses = sfi_obs::alerts::alerts().evaluate(&sfi_obs::metrics().snapshot());
-                ("200 OK", "application/json", {
-                    let mut text = alerts_to_json(&statuses).to_string();
-                    text.push('\n');
-                    text
-                })
-            }
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
-                "unknown path; try /metrics, /healthz, /trace or /alerts\n".to_string(),
+                "unknown path; try /metrics, /healthz or /trace\n".to_string(),
             ),
         }
     };
+    respond(&mut writer, status, content_type, &body)
+}
+
+/// Writes one complete response and half-closes the connection.
+fn respond(writer: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     writer.write_all(head.as_bytes())?;
     writer.write_all(body.as_bytes())?;
-    writer.flush()
+    writer.flush()?;
+    writer.shutdown(std::net::Shutdown::Write)
 }
 
 /// The `/healthz` body: uptime plus scheduler liveness gauges, readable by
@@ -427,72 +350,6 @@ mod tests {
         assert_eq!(fields.get("bytes").and_then(Json::as_u64), Some(42));
     }
 
-    #[test]
-    fn trace_records_encode_with_phase_discriminators() {
-        use sfi_obs::{CounterRecord, SpanRecord};
-        let records = [
-            TraceRecord::Span(SpanRecord {
-                id: 9,
-                parent: 2,
-                name: "trial",
-                cat: "engine",
-                tid: 3,
-                job: Some(7),
-                start_us: 100,
-                dur_us: 42,
-                args: [("cell", FieldValue::U64(1))].into(),
-            }),
-            TraceRecord::Counter(CounterRecord {
-                name: "worker_utilization",
-                tid: 3,
-                job: None,
-                ts_us: 150,
-                series: vec![("busy_us", 40.0)],
-            }),
-        ];
-        let doc = trace_to_json(&records);
-        let arr = doc.as_arr().expect("array");
-        assert_eq!(arr[0].get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(arr[0].get("ts_us").and_then(Json::as_u64), Some(100));
-        assert_eq!(arr[0].get("dur_us").and_then(Json::as_u64), Some(42));
-        assert_eq!(arr[0].get("job").and_then(Json::as_u64), Some(7));
-        let args = arr[0].get("args").expect("args");
-        assert_eq!(args.get("cell").and_then(Json::as_u64), Some(1));
-        assert_eq!(arr[1].get("ph").and_then(Json::as_str), Some("C"));
-        assert!(arr[1].get("job").is_none(), "untagged counter omits job");
-        let series = arr[1].get("series").expect("series");
-        assert_eq!(series.get("busy_us").and_then(Json::as_f64), Some(40.0));
-        // The document survives the canonical encoder round trip.
-        assert!(Json::parse(&doc.to_string()).is_ok());
-    }
-
-    #[test]
-    fn alert_statuses_encode_state_and_counters() {
-        let statuses = [sfi_obs::AlertStatus {
-            rule: "scheduler_queue_saturated".into(),
-            family: "sfi_sched_queue_depth".into(),
-            kind: "gauge_above",
-            threshold: 8.0,
-            value: 11.0,
-            firing: true,
-            since_us: Some(1_000_000),
-            fired_total: 2,
-            resolved_total: 1,
-        }];
-        let doc = alerts_to_json(&statuses);
-        let status = &doc.as_arr().expect("array")[0];
-        assert_eq!(status.get("firing").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            status.get("since_us").and_then(Json::as_u64),
-            Some(1_000_000)
-        );
-        assert_eq!(status.get("fired_total").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            status.get("kind").and_then(Json::as_str),
-            Some("gauge_above")
-        );
-    }
-
     fn http_get(addr: std::net::SocketAddr, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connects");
         stream.write_all(request.as_bytes()).expect("writes");
@@ -526,13 +383,10 @@ mod tests {
         let body = trace.split("\r\n\r\n").nth(1).expect("has body");
         assert!(Json::parse(body).expect("trace is JSON").as_arr().is_some());
 
+        // Alert rules are a Prometheus rules file evaluated against
+        // /metrics (docs/prometheus/sfi-alerts.rules.yml), not a route.
         let alerts = http_get(addr, "GET /alerts HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(alerts.starts_with("HTTP/1.1 200 OK\r\n"), "{alerts}");
-        let body = alerts.split("\r\n\r\n").nth(1).expect("has body");
-        assert!(Json::parse(body.trim())
-            .expect("alerts is JSON")
-            .as_arr()
-            .is_some());
+        assert!(alerts.starts_with("HTTP/1.1 404 Not Found\r\n"), "{alerts}");
 
         let missing = http_get(addr, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(
@@ -545,6 +399,58 @@ mod tests {
             posted.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
             "{posted}"
         );
+    }
+
+    /// Everything the peer sends before EOF or a reset: a refused
+    /// request may be reset after its response because the sender's
+    /// surplus bytes were never read.
+    fn read_until_closed(stream: &mut TcpStream) -> String {
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = stream.read(&mut chunk) {
+            bytes.extend_from_slice(&chunk[..n]);
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn listener_refuses_overlong_lines_and_keeps_serving() {
+        let listener = PrometheusListener::start("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr();
+
+        // A 1 MiB request line with no newline is refused after the cap,
+        // not read to the end.
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        let writer = {
+            let mut stream = stream.try_clone().expect("clones");
+            thread::spawn(move || {
+                let _ = stream.write_all(&vec![b'A'; 1 << 20]);
+            })
+        };
+        let refused = read_until_closed(&mut stream);
+        assert!(
+            refused.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+            "{refused}"
+        );
+        writer.join().expect("writer exits");
+
+        // The same cap applies to each header line, and the header count
+        // is capped too.
+        let long_header = format!("X-Pad: {}\r\n", "b".repeat(MAX_HEAD_LINE_BYTES));
+        let many_headers = "X-Pad: b\r\n".repeat(MAX_HEADER_LINES + 1);
+        for headers in [long_header, many_headers] {
+            let mut stream = TcpStream::connect(addr).expect("connects");
+            let request = format!("GET /healthz HTTP/1.1\r\n{headers}\r\n");
+            let _ = stream.write_all(request.as_bytes());
+            let refused = read_until_closed(&mut stream);
+            assert!(
+                refused.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+                "{refused}"
+            );
+        }
+
+        let health = http_get(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
     }
 
     #[test]

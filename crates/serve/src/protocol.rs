@@ -352,8 +352,6 @@ pub enum Request {
         /// Only records tagged with this job id (absent = all records).
         job: Option<u64>,
     },
-    /// Evaluate the daemon's alert rules and fetch their statuses.
-    Alerts,
     /// Cancel a queued or running job.
     Cancel(u64),
     /// Begin draining: refuse new submits, finish running jobs, exit.
@@ -417,7 +415,6 @@ impl Request {
                 }
                 Json::obj(pairs)
             }
-            Request::Alerts => typed("alerts"),
             Request::Cancel(job) => with_job("cancel", *job),
             Request::Drain => typed("drain"),
             Request::Shutdown => typed("shutdown"),
@@ -523,7 +520,6 @@ impl Request {
                     },
                 })
             }
-            "alerts" => Ok(Request::Alerts),
             "cancel" => Ok(Request::Cancel(u64_member(value, "job")?)),
             "drain" => Ok(Request::Drain),
             "shutdown" => Ok(Request::Shutdown),
@@ -766,21 +762,18 @@ pub enum Response {
         /// Events discarded because the ring overflowed (cumulative).
         dropped: u64,
     },
-    /// Reply to `trace`: recent trace records, oldest first.
+    /// Reply to `trace`: recent trace records as Chrome trace-event
+    /// objects, sorted by timestamp.
     ///
-    /// The record documents are carried verbatim (see
-    /// `crate::metrics::trace_to_json` for their layout) so the frame
-    /// round-trips byte-exactly as the span vocabulary grows.
+    /// The record documents are [`sfi_obs::chrome_trace_json`]'s output,
+    /// carried verbatim so the frame round-trips byte-exactly as the span
+    /// vocabulary grows and clients can write it straight to a
+    /// `chrome://tracing` file.
     Trace {
-        /// The trace record documents, oldest first.
+        /// The Chrome trace-event objects, sorted by timestamp.
         spans: Json,
         /// Records discarded because the store overflowed (cumulative).
         dropped: u64,
-    },
-    /// Reply to `alerts`: one status document per installed rule.
-    Alerts {
-        /// The rule status documents (see `crate::metrics::alerts_to_json`).
-        alerts: Json,
     },
     /// Acknowledgement of a `cancel`.
     Cancelled {
@@ -929,10 +922,6 @@ impl Response {
                 ("spans", spans.clone()),
                 ("dropped", Json::Num(*dropped as f64)),
             ]),
-            Response::Alerts { alerts } => Json::obj([
-                ("type", Json::Str("alerts".into())),
-                ("alerts", alerts.clone()),
-            ]),
             Response::Cancelled { job } => Json::obj([
                 ("type", Json::Str("cancelled".into())),
                 ("job", Json::Str(job.to_string())),
@@ -1074,12 +1063,6 @@ impl Response {
                     .ok_or_else(|| WireError("missing member 'spans'".into()))?,
                 dropped: u64_member(value, "dropped")?,
             }),
-            "alerts" => Ok(Response::Alerts {
-                alerts: value
-                    .get("alerts")
-                    .cloned()
-                    .ok_or_else(|| WireError("missing member 'alerts'".into()))?,
-            }),
             "cancelled" => Ok(Response::Cancelled {
                 job: u64_member(value, "job")?,
             }),
@@ -1175,7 +1158,6 @@ mod tests {
                 limit: Some(500),
                 job: Some(7),
             },
-            Request::Alerts,
             Request::Cancel(7),
             Request::Drain,
             Request::Shutdown,
@@ -1291,20 +1273,19 @@ mod tests {
             },
             Response::Trace {
                 spans: Json::Arr(vec![Json::obj([
+                    (
+                        "args",
+                        Json::obj([("id", Json::Num(9.0)), ("parent", Json::Num(0.0))]),
+                    ),
                     ("cat", Json::Str("engine".into())),
-                    ("dur_us", Json::Str("42".into())),
+                    ("dur", Json::Num(42.0)),
                     ("name", Json::Str("trial".into())),
                     ("ph", Json::Str("X".into())),
+                    ("pid", Json::Num(1.0)),
                     ("tid", Json::Num(2.0)),
-                    ("ts_us", Json::Str("12".into())),
+                    ("ts", Json::Num(12.0)),
                 ])]),
                 dropped: 1,
-            },
-            Response::Alerts {
-                alerts: Json::Arr(vec![Json::obj([
-                    ("firing", Json::Bool(false)),
-                    ("rule", Json::Str("scheduler_queue_saturated".into())),
-                ])]),
             },
             Response::Cancelled { job: 7 },
             Response::DrainStarted { running_jobs: 2 },

@@ -74,15 +74,6 @@ pub struct ServeConfig {
     /// Capacity of the structured-event ring (`None` = keep the default,
     /// [`sfi_obs::DEFAULT_EVENT_CAPACITY`]).
     pub event_buffer: Option<usize>,
-    /// Queue-depth gauge level (total queued jobs, all priorities) above
-    /// which the `scheduler_queue_saturated` alert arms.
-    pub alert_queue_depth: f64,
-    /// Seconds the queue depth must stay above the limit before the alert
-    /// fires (0 = fire on the first saturated evaluation).
-    pub alert_hold_seconds: f64,
-    /// Event-ring drop rate (events per second) above which the
-    /// `event_ring_dropping` alert fires (0 = fire on any drops).
-    pub alert_drop_rate: f64,
     /// Suppress the startup log lines.
     pub quiet: bool,
 }
@@ -105,9 +96,6 @@ impl Default for ServeConfig {
             max_connections: None,
             metrics_addr: None,
             event_buffer: None,
-            alert_queue_depth: 8.0,
-            alert_hold_seconds: 5.0,
-            alert_drop_rate: 0.0,
             quiet: false,
         }
     }
@@ -196,11 +184,6 @@ impl Server {
         if let Some(capacity) = config.event_buffer {
             sfi_obs::events().set_capacity(capacity);
         }
-        sfi_obs::alerts::alerts().install(sfi_obs::default_rules(
-            config.alert_queue_depth,
-            config.alert_hold_seconds,
-            config.alert_drop_rate,
-        ));
         let metrics_listener = match &config.metrics_addr {
             Some(addr) => Some(PrometheusListener::start(addr)?),
             None => None,
@@ -644,20 +627,15 @@ fn handle_connection(
                 let store = sfi_obs::span::trace();
                 let limit = limit.unwrap_or(DEFAULT_TRACE_LIMIT) as usize;
                 let records = store.snapshot(limit, job);
+                // One serializer for every trace surface; re-parsing its
+                // output is cheap on this cold path.
+                let spans = Json::parse(&sfi_obs::chrome_trace_json(&records))
+                    .expect("chrome_trace_json emits valid JSON");
                 reply(
                     &mut writer,
                     &Response::Trace {
-                        spans: metrics::trace_to_json(&records),
+                        spans,
                         dropped: store.dropped(),
-                    },
-                )?;
-            }
-            Request::Alerts => {
-                let statuses = sfi_obs::alerts::alerts().evaluate(&sfi_obs::metrics().snapshot());
-                reply(
-                    &mut writer,
-                    &Response::Alerts {
-                        alerts: metrics::alerts_to_json(&statuses),
                     },
                 )?;
             }

@@ -530,6 +530,15 @@ fn malformed_requests_get_error_frames_and_the_connection_survives() {
         Some("bad_request")
     );
 
+    // `alerts` is a retired v1 request type: refused like any unknown
+    // type (docs/PROTOCOL.md, "Deliberate v1 exceptions").
+    let reply = roundtrip(&mut writer, &mut reader, "{\"type\":\"alerts\"}");
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
+
     // Valid type, bad payload.
     let reply = roundtrip(
         &mut writer,

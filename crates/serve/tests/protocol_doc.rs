@@ -67,7 +67,6 @@ fn round_trips_as_request(doc: &Json) -> Option<&'static str> {
         Request::Metrics => "metrics",
         Request::Events { .. } => "events",
         Request::Trace { .. } => "trace",
-        Request::Alerts => "alerts",
         Request::Cancel(_) => "cancel",
         Request::Drain => "drain",
         Request::Shutdown => "shutdown",
@@ -89,7 +88,6 @@ fn round_trips_as_response(doc: &Json) -> Option<(&'static str, Option<&'static 
         Response::Metrics { .. } => ("metrics", None),
         Response::Events { .. } => ("events", None),
         Response::Trace { .. } => ("trace", None),
-        Response::Alerts { .. } => ("alerts", None),
         Response::Cancelled { .. } => ("cancelled", None),
         Response::DrainStarted { .. } => ("drain_started", None),
         Response::Bye => ("bye", None),
@@ -178,7 +176,7 @@ fn every_json_example_in_the_protocol_doc_round_trips_through_the_wire_types() {
     // Coverage: the document must exercise the complete vocabulary.
     for kind in [
         "ping", "submit", "status", "stream", "result", "poff", "metrics", "events", "trace",
-        "alerts", "cancel", "drain", "shutdown",
+        "cancel", "drain", "shutdown",
     ] {
         assert!(
             request_kinds.contains(&kind),
@@ -196,7 +194,6 @@ fn every_json_example_in_the_protocol_doc_round_trips_through_the_wire_types() {
         "metrics",
         "events",
         "trace",
-        "alerts",
         "cancelled",
         "drain_started",
         "bye",

@@ -40,9 +40,6 @@ fn sfi_serve_help_mentions_every_accepted_flag() {
         "--drain-on-stdin",
         "--metrics-addr",
         "--event-buffer",
-        "--alert-queue-depth",
-        "--alert-hold-seconds",
-        "--alert-drop-rate",
         "--help",
     ];
     let help = help_output(env!("CARGO_BIN_EXE_sfi-serve"));
@@ -57,7 +54,7 @@ fn sfi_client_help_mentions_every_command_and_flag() {
     // loops in crates/serve/src/bin/sfi-client.rs.
     let commands = [
         "ping", "submit", "demo", "status", "stream", "result", "cancel", "poff", "metrics",
-        "events", "trace", "alerts", "drain", "shutdown",
+        "events", "trace", "drain", "shutdown",
     ];
     let flags = [
         "--addr",
