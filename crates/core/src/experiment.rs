@@ -171,7 +171,6 @@ fn run_prepared_trial<F: FaultInjector + ?Sized>(
     let config = RunConfig {
         max_cycles,
         fi_window: Some(benchmark.fi_window()),
-        ..RunConfig::default()
     };
     let outcome = core.run_with_injector(&config, injector);
     // Sharded per-thread counters: one relaxed add each, no measurable

@@ -4,7 +4,7 @@ use crate::fault::{ExStageContext, FaultInjector, NoFaultInjector};
 use crate::memory::{Memory, MemoryError};
 use crate::state::CpuState;
 use crate::stats::RunStats;
-use sfi_isa::{AluClass, Instruction, Program, Reg};
+use sfi_isa::{AluClass, Instruction, Program, Reg, BRANCH_PENALTY_CYCLES};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -19,9 +19,6 @@ pub struct RunConfig {
     /// injection is enabled.  `None` enables it for the whole program.
     /// The paper restricts FI to the kernel part of each benchmark.
     pub fi_window: Option<Range<u32>>,
-    /// Extra cycles charged for every taken branch or jump (pipeline
-    /// refill of the 6-stage core).
-    pub branch_penalty: u64,
 }
 
 impl Default for RunConfig {
@@ -29,7 +26,6 @@ impl Default for RunConfig {
         RunConfig {
             max_cycles: 10_000_000,
             fi_window: None,
-            branch_penalty: 2,
         }
     }
 }
@@ -102,11 +98,15 @@ impl Core {
     /// harness reuses one program across all trials of a benchmark);
     /// passing a plain [`Program`] still works and wraps it on the spot.
     pub fn new(program: impl Into<Arc<Program>>, dmem_words: usize) -> Self {
+        let program = program.into();
         Core {
-            program: program.into(),
+            stats: RunStats {
+                retired: vec![0; program.len()],
+                ..RunStats::default()
+            },
+            program,
             state: CpuState::new(),
             memory: Memory::new(dmem_words),
-            stats: RunStats::new(),
         }
     }
 
@@ -147,7 +147,13 @@ impl Core {
     /// left untouched so pre-loaded input data survives).
     pub fn reset(&mut self) {
         self.state = CpuState::new();
-        self.stats = RunStats::new();
+        // Zero the retire counts in place: recycled cores never reallocate.
+        let mut retired = std::mem::take(&mut self.stats.retired);
+        retired.fill(0);
+        self.stats = RunStats {
+            retired,
+            ..RunStats::default()
+        };
     }
 
     /// Resets the architectural state, statistics *and* data memory — the
@@ -256,40 +262,38 @@ impl Core {
             }
             // --- Control flow ----------------------------------------------
             Bf { offset } => {
-                self.stats.taken_branches += self.state.flag as u64;
                 if self.state.flag {
                     next_pc = Self::relative_target(self.state.pc, offset);
-                    cycles_this_instruction += config.branch_penalty;
+                    cycles_this_instruction += BRANCH_PENALTY_CYCLES;
                 }
             }
             Bnf { offset } => {
-                self.stats.taken_branches += (!self.state.flag) as u64;
                 if !self.state.flag {
                     next_pc = Self::relative_target(self.state.pc, offset);
-                    cycles_this_instruction += config.branch_penalty;
+                    cycles_this_instruction += BRANCH_PENALTY_CYCLES;
                 }
             }
             J { offset } => {
                 next_pc = Self::relative_target(self.state.pc, offset);
-                cycles_this_instruction += config.branch_penalty;
+                cycles_this_instruction += BRANCH_PENALTY_CYCLES;
             }
             Jal { offset } => {
                 self.state
                     .set_reg(Instruction::LINK_REGISTER, self.state.pc.wrapping_add(1));
                 next_pc = Self::relative_target(self.state.pc, offset);
-                cycles_this_instruction += config.branch_penalty;
+                cycles_this_instruction += BRANCH_PENALTY_CYCLES;
             }
             Jr { ra } => {
                 next_pc = self.state.reg(ra);
-                cycles_this_instruction += config.branch_penalty;
+                cycles_this_instruction += BRANCH_PENALTY_CYCLES;
             }
             Nop => {}
             // All ALU instructions are handled by the guard arm above.
             _ => unreachable!("non-ALU instruction not covered: {instruction}"),
         }
 
-        self.stats
-            .record_instruction(instruction.kind(), instruction.alu_class());
+        self.stats.instructions += 1;
+        self.stats.retired[self.state.pc as usize] += 1;
         self.stats.cycles += cycles_this_instruction;
         if fi_enabled {
             self.stats.kernel_cycles += cycles_this_instruction;
@@ -477,7 +481,7 @@ mod tests {
         assert_eq!(core.state().reg(Reg(4)), 55);
         // 1 + 10*4 instructions; 9 taken branches add the penalty cycles.
         assert_eq!(core.stats().instructions, 41);
-        assert_eq!(core.stats().taken_branches, 9);
+        assert_eq!(core.stats().retired, [1, 10, 10, 10, 10]);
         assert_eq!(core.stats().cycles, 41 + 9 * 2);
         assert!(core.stats().ipc() < 1.0);
     }
@@ -792,7 +796,7 @@ mod tests {
         let fresh = Core::new(program, 16);
         assert_eq!(used.state().pc, fresh.state().pc);
         assert_eq!(used.memory(), fresh.memory());
-        assert_eq!(used.stats().cycles, 0);
+        assert_eq!(used.stats(), fresh.stats());
     }
 
     #[test]

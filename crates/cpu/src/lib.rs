@@ -15,6 +15,9 @@
 //! the case-study core is constrained so that all non-ALU paths have a
 //! comfortable timing margin (Sec. 2.1 of the paper).
 //!
+//! A run counts cycles, faults and one retire count per pc in
+//! [`RunStats`]; [`RunStats::mix`] derives the instruction mix from them.
+//!
 //! # Example
 //!
 //! ```

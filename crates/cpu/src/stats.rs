@@ -1,12 +1,13 @@
 //! Per-run execution statistics.
 
-use sfi_isa::{AluClass, InstructionKind};
+use sfi_isa::{InstructionMix, Program};
 
 /// Statistics collected over one program run.
 ///
 /// The FI-rate metric of the paper ("faults per 1000 cycles of kernel
 /// execution") is derived from [`RunStats::injected_faults`] and
-/// [`RunStats::kernel_cycles`].
+/// [`RunStats::kernel_cycles`]; the instruction mix is derived from the
+/// per-pc retire counts by [`RunStats::mix`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Total simulated cycles (including pipeline penalties).
@@ -15,61 +16,33 @@ pub struct RunStats {
     pub kernel_cycles: u64,
     /// Retired instructions.
     pub instructions: u64,
-    /// Retired instructions that activate the execution-stage ALU.
-    pub alu_instructions: u64,
-    /// Retired loads.
-    pub loads: u64,
-    /// Retired stores.
-    pub stores: u64,
-    /// Retired conditional branches.
-    pub branches: u64,
-    /// Retired taken conditional branches.
-    pub taken_branches: u64,
-    /// Retired unconditional jumps.
-    pub jumps: u64,
-    /// Retired no-ops.
-    pub nops: u64,
     /// Number of faults injected (cycles where at least one endpoint bit
     /// was flipped).
     pub injected_faults: u64,
     /// Total number of endpoint bits flipped.
     pub flipped_bits: u64,
-    /// Retired multiplications (the most timing-critical instruction class).
-    pub multiplications: u64,
-    /// Retired set-flag comparisons.
-    pub comparisons: u64,
+    /// Retire count of each instruction, indexed by pc: one entry per
+    /// program instruction, summing to [`RunStats::instructions`].
+    pub retired: Vec<u64>,
 }
 
 impl RunStats {
-    /// Creates empty statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one retired instruction of the given kind/class.
-    pub fn record_instruction(&mut self, kind: InstructionKind, alu_class: Option<AluClass>) {
-        self.instructions += 1;
-        match kind {
-            InstructionKind::Alu => self.alu_instructions += 1,
-            InstructionKind::Load => self.loads += 1,
-            InstructionKind::Store => self.stores += 1,
-            InstructionKind::Branch => self.branches += 1,
-            InstructionKind::Jump => self.jumps += 1,
-            InstructionKind::Nop => self.nops += 1,
-        }
-        match alu_class {
-            Some(AluClass::Mul) => self.multiplications += 1,
-            Some(c) if c.is_set_flag() => self.comparisons += 1,
-            _ => {}
-        }
-    }
-
     /// Records an injected fault with the given number of flipped bits.
     pub fn record_fault(&mut self, flipped_bits: u32) {
         if flipped_bits > 0 {
             self.injected_faults += 1;
             self.flipped_bits += u64::from(flipped_bits.count_ones());
         }
+    }
+
+    /// The instruction mix of the run: each instruction of `program` (the
+    /// program that ran) weighted by its retire count.
+    pub fn mix(&self, program: &Program) -> InstructionMix {
+        let mut mix = InstructionMix::default();
+        for (instruction, &count) in program.instructions().iter().zip(&self.retired) {
+            mix.add(instruction, count);
+        }
+        mix
     }
 
     /// Fault-injection rate in faults per 1000 kernel cycles (the unit used
@@ -91,25 +64,6 @@ impl RunStats {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// Fraction of retired instructions that are ALU (compute) instructions.
-    pub fn compute_fraction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.alu_instructions as f64 / self.instructions as f64
-        }
-    }
-
-    /// Fraction of retired instructions that are control flow (branches and
-    /// jumps).
-    pub fn control_fraction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            (self.branches + self.jumps) as f64 / self.instructions as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,31 +71,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let mut s = RunStats::new();
-        s.record_instruction(InstructionKind::Alu, Some(AluClass::Mul));
-        s.record_instruction(InstructionKind::Alu, Some(AluClass::SfEq));
-        s.record_instruction(InstructionKind::Load, None);
-        s.record_instruction(InstructionKind::Store, None);
-        s.record_instruction(InstructionKind::Branch, None);
-        s.record_instruction(InstructionKind::Jump, None);
-        s.record_instruction(InstructionKind::Nop, None);
-        assert_eq!(s.instructions, 7);
-        assert_eq!(s.alu_instructions, 2);
-        assert_eq!(s.multiplications, 1);
-        assert_eq!(s.comparisons, 1);
-        assert_eq!(s.loads, 1);
-        assert_eq!(s.stores, 1);
-        assert_eq!(s.branches, 1);
-        assert_eq!(s.jumps, 1);
-        assert_eq!(s.nops, 1);
-    }
-
-    #[test]
     fn fault_accounting_and_rates() {
-        let mut s = RunStats::new();
-        s.kernel_cycles = 2000;
-        s.cycles = 2500;
+        let mut s = RunStats {
+            kernel_cycles: 2000,
+            cycles: 2500,
+            ..RunStats::default()
+        };
         s.record_fault(0b101);
         s.record_fault(0);
         s.record_fault(0b1);
@@ -149,20 +84,13 @@ mod tests {
         assert_eq!(s.flipped_bits, 3);
         assert!((s.fi_rate_per_kcycle() - 1.0).abs() < 1e-12);
         s.instructions = 2000;
-        s.alu_instructions = 1000;
-        s.branches = 200;
-        s.jumps = 100;
         assert!((s.ipc() - 0.8).abs() < 1e-12);
-        assert!((s.compute_fraction() - 0.5).abs() < 1e-12);
-        assert!((s.control_fraction() - 0.15).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_have_zero_rates() {
-        let s = RunStats::new();
+        let s = RunStats::default();
         assert_eq!(s.fi_rate_per_kcycle(), 0.0);
         assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.compute_fraction(), 0.0);
-        assert_eq!(s.control_fraction(), 0.0);
     }
 }

@@ -11,6 +11,7 @@
 //! * [`AluClass`] — which execution-stage ALU operation an instruction
 //!   activates; this is the key that the fault-injection models condition
 //!   their timing-error statistics on.
+//! * [`InstructionMix`] — weighted per-kind and per-class counts (Table 1).
 //! * [`encoding`] — a compact 32-bit binary encoding with full
 //!   encode/decode round-tripping, so programs can be stored in an
 //!   instruction memory like on the real core.
@@ -37,10 +38,16 @@
 
 pub mod encoding;
 pub mod instruction;
+pub mod mix;
 pub mod program;
 pub mod registers;
 
 pub use encoding::{decode, encode, DecodeError};
 pub use instruction::{AluClass, Instruction, InstructionKind, MNEMONICS};
+pub use mix::InstructionMix;
 pub use program::{Program, ProgramBuilder};
 pub use registers::Reg;
+
+/// Extra cycles the 6-stage core charges for every taken branch or jump
+/// (pipeline refill), in the simulator and in static cycle bounds.
+pub const BRANCH_PENALTY_CYCLES: u64 = 2;

@@ -320,7 +320,7 @@ mod tests {
         let cycles = |seed| {
             let bench = BitonicSortBenchmark::new(32, seed);
             let core = run(&bench);
-            (core.stats().cycles, core.stats().branches)
+            (core.stats().cycles, core.stats().mix(core.program()).branch)
         };
         assert_eq!(cycles(1), cycles(2), "data-independent schedule");
     }

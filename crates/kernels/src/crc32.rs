@@ -237,6 +237,7 @@ impl Benchmark for Crc32Benchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &Crc32Benchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -285,11 +286,16 @@ mod tests {
         let bench = Crc32Benchmark::new(128, 1);
         let core = run(&bench);
         let stats = core.stats();
-        assert_eq!(stats.multiplications, 0, "CRC32 has no multiplications");
+        let mix = stats.mix(core.program());
+        assert_eq!(
+            mix.class_count(AluClass::Mul),
+            0,
+            "CRC32 has no multiplications"
+        );
         assert!(
-            stats.control_fraction() > 0.2,
+            mix.control_fraction() > 0.2,
             "CRC32 is control oriented, got {}",
-            stats.control_fraction()
+            mix.control_fraction()
         );
         assert!(stats.cycles > 20_000, "128-word CRC32 takes > 20 kCycles");
     }

@@ -511,6 +511,7 @@ impl Benchmark for DijkstraBenchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &DijkstraBenchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -539,16 +540,21 @@ mod tests {
     fn control_oriented_character() {
         let bench = DijkstraBenchmark::new(10, 4);
         let core = run(&bench);
-        let stats = core.stats();
+        let mix = core.stats().mix(core.program());
+        let comparisons: u64 = AluClass::ALL
+            .into_iter()
+            .filter(|c| c.is_set_flag())
+            .map(|c| mix.class_count(c))
+            .sum();
         assert!(
-            stats.control_fraction() > 0.15,
+            mix.control_fraction() > 0.15,
             "dijkstra is control oriented"
         );
         assert!(
-            stats.comparisons > stats.multiplications,
+            comparisons > mix.class_count(AluClass::Mul),
             "comparisons dominate multiplications"
         );
-        assert!(stats.cycles > 20_000);
+        assert!(core.stats().cycles > 20_000);
     }
 
     #[test]

@@ -532,6 +532,7 @@ impl Benchmark for FftBenchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &FftBenchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -593,13 +594,13 @@ mod tests {
     fn kernel_mixes_multiplications_and_control() {
         let bench = FftBenchmark::new(64, 1);
         let core = run(&bench);
-        let stats = core.stats();
+        let mix = core.stats().mix(core.program());
         assert!(
-            stats.multiplications > 4 * 32 * 6,
+            mix.class_count(AluClass::Mul) > 4 * 32 * 6,
             "four Q14 products per butterfly"
         );
-        assert!(stats.control_fraction() > 0.02, "loop back-edges retire");
-        assert!(stats.compute_fraction() > 0.3);
+        assert!(mix.control_fraction() > 0.02, "loop back-edges retire");
+        assert!(mix.compute_fraction() > 0.3);
     }
 
     #[test]

@@ -245,6 +245,7 @@ impl Benchmark for FirBenchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &FirBenchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -278,12 +279,12 @@ mod tests {
     fn kernel_is_compute_heavy() {
         let bench = FirBenchmark::new(16, 64, 1);
         let core = run(&bench);
-        let stats = core.stats();
+        let mix = core.stats().mix(core.program());
         assert!(
-            stats.multiplications >= 1024,
+            mix.class_count(AluClass::Mul) >= 1024,
             "one multiplication per tap per output"
         );
-        assert!(stats.compute_fraction() > 0.4, "FIR is compute oriented");
+        assert!(mix.compute_fraction() > 0.4, "FIR is compute oriented");
     }
 
     #[test]

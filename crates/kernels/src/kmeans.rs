@@ -544,6 +544,7 @@ impl Benchmark for KMeansBenchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &KMeansBenchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -572,18 +573,18 @@ mod tests {
     fn mixed_compute_and_control() {
         let bench = KMeansBenchmark::new(8, 2, 12, 2);
         let core = run(&bench);
-        let stats = core.stats();
+        let mix = core.stats().mix(core.program());
         assert!(
-            stats.multiplications > 0,
+            mix.class_count(AluClass::Mul) > 0,
             "distance computation uses multiplications"
         );
         assert!(
-            stats.control_fraction() > 0.1,
+            mix.control_fraction() > 0.1,
             "k-means has significant control flow"
         );
         // Far fewer multiplications than matmul relative to cycle count
         // (the paper explains k-means' lower FI rate this way).
-        assert!((stats.multiplications as f64) < 0.05 * stats.cycles as f64);
+        assert!((mix.class_count(AluClass::Mul) as f64) < 0.05 * core.stats().cycles as f64);
     }
 
     #[test]

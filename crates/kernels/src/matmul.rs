@@ -309,6 +309,7 @@ impl Benchmark for MatrixMultiplyBenchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &MatrixMultiplyBenchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -334,14 +335,14 @@ mod tests {
         let bench = MatrixMultiplyBenchmark::new(16, ElementWidth::Bits16, 5);
         let core = run(&bench);
         assert_eq!(bench.output_error(core.memory()), 0.0);
-        let stats = core.stats();
+        let mix = core.stats().mix(core.program());
         assert!(
-            stats.multiplications > 4096,
+            mix.class_count(AluClass::Mul) > 4096,
             "three muls per inner iteration"
         );
-        assert!(stats.compute_fraction() > 0.5, "matmul is compute oriented");
+        assert!(mix.compute_fraction() > 0.5, "matmul is compute oriented");
         assert!(
-            stats.cycles > 30_000,
+            core.stats().cycles > 30_000,
             "16x16 matmul runs for tens of kCycles"
         );
     }

@@ -215,6 +215,7 @@ impl Benchmark for MedianBenchmark {
 mod tests {
     use super::*;
     use sfi_cpu::{Core, RunConfig};
+    use sfi_isa::AluClass;
 
     fn run(bench: &MedianBenchmark) -> Core {
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
@@ -238,14 +239,14 @@ mod tests {
     fn kernel_is_control_heavy() {
         let bench = MedianBenchmark::new(129, 1);
         let core = run(&bench);
-        let stats = core.stats();
-        assert!(stats.multiplications == 0, "median has no multiplications");
+        let mix = core.stats().mix(core.program());
         assert!(
-            stats.control_fraction() > 0.15,
-            "median is control oriented"
+            mix.class_count(AluClass::Mul) == 0,
+            "median has no multiplications"
         );
+        assert!(mix.control_fraction() > 0.15, "median is control oriented");
         assert!(
-            stats.cycles > 100_000,
+            core.stats().cycles > 100_000,
             "129-value median takes > 100 kCycles"
         );
     }

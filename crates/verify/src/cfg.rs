@@ -1,8 +1,8 @@
 //! Basic-block control-flow graph construction, reachability, loop
 //! detection and the worst-case cycle bound for loop-free programs.
 
-use crate::{Diagnostic, Rule, Span, BRANCH_PENALTY_CYCLES};
-use sfi_isa::{Instruction, InstructionKind, Program};
+use crate::{Diagnostic, Rule, Span};
+use sfi_isa::{Instruction, InstructionKind, Program, BRANCH_PENALTY_CYCLES};
 
 /// Sentinel successor index for the program exit (`pc == len`).
 pub(crate) const EXIT: usize = usize::MAX;

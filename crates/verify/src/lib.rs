@@ -26,10 +26,10 @@
 //!    ([`Rule::V007`]).
 //! 6. **Loop detection and watchdog estimate** — back edges mark the
 //!    program as looping; loop-free programs get a conservative
-//!    worst-case cycle bound (every control transfer taken, with the
-//!    default branch penalty).
-//! 7. **Instruction-mix statistics** — per-[`InstructionKind`] and
-//!    per-[`AluClass`] counts over reachable code (the paper's Table 1
+//!    worst-case cycle bound (every control transfer taken, each paying
+//!    [`sfi_isa::BRANCH_PENALTY_CYCLES`]).
+//! 7. **Instruction-mix statistics** — an [`InstructionMix`] over
+//!    reachable code, each instruction counted once (the paper's Table 1
 //!    compute/control weights, derived statically).
 //!
 //! Every diagnostic carries a [`Span`] of program counters, a
@@ -68,7 +68,7 @@
 mod cfg;
 mod dataflow;
 
-use sfi_isa::{AluClass, Instruction, InstructionKind, Program};
+use sfi_isa::{InstructionMix, Program};
 use std::fmt;
 use std::ops::Range;
 
@@ -281,81 +281,6 @@ impl VerifyConfig {
     }
 }
 
-/// Per-[`InstructionKind`] and per-[`AluClass`] counts over reachable code.
-///
-/// These are the paper's Table 1 compute/control weights, derived
-/// statically instead of from an execution trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct InstructionMix {
-    /// ALU (arithmetic/logic/shift/compare) instructions.
-    pub alu: usize,
-    /// Word loads.
-    pub load: usize,
-    /// Word stores.
-    pub store: usize,
-    /// Conditional branches.
-    pub branch: usize,
-    /// Unconditional jumps.
-    pub jump: usize,
-    /// No-ops.
-    pub nop: usize,
-    /// Per-ALU-class counts, indexed parallel to [`AluClass::ALL`].
-    pub alu_classes: [usize; 15],
-}
-
-impl InstructionMix {
-    /// Counts one instruction.
-    fn record(&mut self, instruction: &Instruction) {
-        match instruction.kind() {
-            InstructionKind::Alu => self.alu += 1,
-            InstructionKind::Load => self.load += 1,
-            InstructionKind::Store => self.store += 1,
-            InstructionKind::Branch => self.branch += 1,
-            InstructionKind::Jump => self.jump += 1,
-            InstructionKind::Nop => self.nop += 1,
-        }
-        if let Some(class) = instruction.alu_class() {
-            let idx = AluClass::ALL
-                .iter()
-                .position(|&c| c == class)
-                .expect("class is in ALL");
-            self.alu_classes[idx] += 1;
-        }
-    }
-
-    /// Total number of instructions counted.
-    pub fn total(&self) -> usize {
-        self.alu + self.load + self.store + self.branch + self.jump + self.nop
-    }
-
-    /// Count for one ALU class.
-    pub fn class_count(&self, class: AluClass) -> usize {
-        let idx = AluClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("class is in ALL");
-        self.alu_classes[idx]
-    }
-
-    /// Fraction of instructions doing compute work (ALU + load + store).
-    pub fn compute_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.alu + self.load + self.store) as f64 / total as f64
-    }
-
-    /// Fraction of instructions doing control flow (branches + jumps).
-    pub fn control_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.branch + self.jump) as f64 / total as f64
-    }
-}
-
 /// The result of verifying one program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
@@ -412,10 +337,6 @@ impl Report {
         self.diagnostics.iter().filter(move |d| d.rule == rule)
     }
 }
-
-/// Branch penalty assumed by the worst-case cycle estimate, matching the
-/// simulator's default `RunConfig::branch_penalty`.
-pub const BRANCH_PENALTY_CYCLES: u64 = 2;
 
 /// Runs the full pass pipeline over `program`.
 pub fn verify(program: &Program, config: &VerifyConfig) -> Report {
@@ -474,7 +395,7 @@ pub fn verify(program: &Program, config: &VerifyConfig) -> Report {
     let mut reachable_instructions = 0usize;
     for block in cfg.blocks.iter().filter(|b| b.reachable) {
         for pc in block.start..block.end {
-            mix.record(&program.instructions()[pc as usize]);
+            mix.add(&program.instructions()[pc as usize], 1);
             reachable_instructions += 1;
         }
     }

@@ -20,7 +20,7 @@ fn all_builtin_kernels_verify_clean() {
             rendered.join("\n")
         );
         assert!(report.reachable_instructions > 0);
-        assert!(report.mix.total() == report.reachable_instructions);
+        assert!(report.mix.total() == report.reachable_instructions as u64);
     }
 }
 

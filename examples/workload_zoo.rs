@@ -10,6 +10,7 @@ use sfi_core::experiment::FaultModel;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
 use sfi_cpu::{Core, RunConfig};
 use sfi_fault::OperatingPoint;
+use sfi_isa::AluClass;
 use sfi_kernels::extended_suite;
 
 fn main() {
@@ -31,12 +32,13 @@ fn main() {
             bench.name()
         );
         let stats = core.stats();
+        let mix = stats.mix(core.program());
         println!(
             "{:<16} {:>9.1}% {:>9.1}% {:>10.1} {:>12}  {}",
             bench.name(),
-            100.0 * stats.compute_fraction(),
-            100.0 * stats.control_fraction(),
-            stats.multiplications as f64 * 1000.0 / stats.cycles as f64,
+            100.0 * mix.compute_fraction(),
+            100.0 * mix.control_fraction(),
+            mix.class_count(AluClass::Mul) as f64 * 1000.0 / stats.cycles as f64,
             stats.cycles,
             bench.error_metric()
         );

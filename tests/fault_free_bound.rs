@@ -75,7 +75,6 @@ fn faults_injected(benchmark: &dyn Benchmark, injector: &mut dyn FaultInjector) 
     let config = RunConfig {
         max_cycles: u64::MAX / 4,
         fi_window: Some(benchmark.fi_window()),
-        ..RunConfig::default()
     };
     core.run_with_injector(&config, injector);
     core.stats().injected_faults

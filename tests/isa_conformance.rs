@@ -24,8 +24,8 @@ const DMEM_WORDS: usize = 16;
 /// Watchdog budget: generous for straight-line rows, small enough that
 /// the deliberate-infinite-loop rows finish quickly.
 const MAX_CYCLES: u64 = 10_000;
-/// Pipeline-refill penalty charged per taken branch or jump (the model
-/// default, spelled out here because `cycles=` expectations depend on it).
+/// Pipeline-refill penalty per taken branch or jump, copied from the README
+/// (`cycles=` depends on it) as an oracle for `sfi_isa::BRANCH_PENALTY_CYCLES`.
 const BRANCH_PENALTY: u64 = 2;
 
 fn conformance_dir() -> PathBuf {
@@ -250,7 +250,6 @@ fn check_execution(row: &Row, program: &Program) {
     let outcome = core.run(&RunConfig {
         max_cycles: MAX_CYCLES,
         fi_window: None,
-        branch_penalty: BRANCH_PENALTY,
     });
     let mut outcome_checked = false;
     for assign in &row.expect {
@@ -320,6 +319,7 @@ fn check_execution(row: &Row, program: &Program) {
 
 #[test]
 fn every_conformance_row_assembles_encodes_and_executes_as_specified() {
+    assert_eq!(BRANCH_PENALTY, sfi_isa::BRANCH_PENALTY_CYCLES);
     let rows = all_rows();
     assert!(
         rows.len() >= 40,

@@ -34,7 +34,6 @@ fn reference_run(
     let config = RunConfig {
         max_cycles,
         fi_window: Some(bench.fi_window()),
-        ..RunConfig::default()
     };
     let outcome = core.run_with_injector(&config, injector.as_mut());
     (
