@@ -18,7 +18,6 @@
 
 pub mod asm_cli;
 pub mod lint;
-pub mod perf;
 
 use sfi_campaign::CampaignEngine;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};

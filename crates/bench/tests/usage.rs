@@ -1,42 +1,10 @@
-//! Usage-text drift tests: `perf-report --help`, `sfi-lint --help` and
-//! `sfi-asm --help` must exit 0 and mention every flag their parsers
-//! accept, so the USAGE strings cannot silently fall behind the argument
-//! matchers.  The assembler binaries additionally pin their exit-status
+//! Usage-text drift tests: `sfi-lint --help` and `sfi-asm --help` must
+//! exit 0 and mention every flag their parsers accept, so the USAGE
+//! strings cannot silently fall behind the argument matchers.  The assembler binaries additionally pin their exit-status
 //! contract: 2 for usage/assembly errors (with source spans), 1 for
 //! verify findings, 0 when clean.
 
 use std::process::Command;
-
-#[test]
-fn perf_report_help_mentions_every_accepted_flag() {
-    let bin = env!("CARGO_BIN_EXE_perf-report");
-    let output = Command::new(bin)
-        .arg("--help")
-        .output()
-        .unwrap_or_else(|err| panic!("cannot run {bin} --help: {err}"));
-    assert!(
-        output.status.success(),
-        "perf-report --help must exit 0, got {:?}",
-        output.status
-    );
-    let help = String::from_utf8(output.stdout).expect("help is UTF-8");
-    // Keep in sync with the `match argv[i].as_str()` arms in
-    // crates/bench/src/perf.rs.
-    for flag in [
-        "--quick",
-        "--trials",
-        "--out",
-        "--baseline",
-        "--tolerance",
-        "--profile",
-        "--help",
-    ] {
-        assert!(
-            help.contains(flag),
-            "perf-report --help must mention {flag}"
-        );
-    }
-}
 
 #[test]
 fn sfi_lint_help_mentions_every_accepted_flag() {

@@ -2,6 +2,7 @@
 //! operating points with per-cell trial budgets.
 
 use crate::stats::CellStats;
+use sfi_core::cache::Fnv;
 use sfi_core::FaultModel;
 use sfi_fault::OperatingPoint;
 use sfi_kernels::Benchmark;
@@ -276,7 +277,7 @@ impl CampaignSpec {
     /// seed, benchmark names and every cell's parameters).  Checkpoints
     /// store it and refuse to resume a campaign whose spec changed.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         h.bytes(self.name.as_bytes());
         h.u64(self.seed);
         h.u64(self.benchmarks.len() as u64);
@@ -317,29 +318,6 @@ impl CampaignSpec {
             }
         }
         h.finish()
-    }
-}
-
-/// FNV-1a, 64 bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -388,6 +366,21 @@ mod tests {
         assert_eq!(range, 0..3);
         assert_eq!(spec.cells()[2].point.freq_mhz(), 750.0);
         assert_eq!(spec.cells()[2].point.noise().sigma_mv(), 10.0);
+    }
+
+    /// The fingerprint names serve checkpoints (`job-{fp}.json`) on
+    /// disk, so it must not move: a changed value orphans every
+    /// resumable job.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let mut spec = spec_with_cells();
+        spec.add_cell(CellSpec {
+            benchmark: 0,
+            model: FaultModel::FixedProbability(1e-4),
+            point: OperatingPoint::new(800.0, 0.7).with_noise_sigma_mv(10.0),
+            budget: TrialBudget::adaptive(2, 8, 2, StopRule::correct_within(0.1)),
+        });
+        assert_eq!(spec.fingerprint(), 0x40a9_bea2_dbf9_a7d3);
     }
 
     #[test]

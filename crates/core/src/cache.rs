@@ -37,7 +37,7 @@ impl CaseStudyConfig {
     /// field).  The characterization cache stores it and refuses to load a
     /// cache written for a different configuration.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         h.u64(self.alu_width as u64);
         h.u64(self.target_fmax_mhz.to_bits());
         h.u64(self.nominal_vdd.to_bits());
@@ -197,22 +197,34 @@ pub fn load(dir: &Path, config: &CaseStudyConfig) -> Option<Vec<(f64, TimingChar
     Some(chars)
 }
 
-/// FNV-1a, 64 bit.
-struct Fnv(u64);
+/// FNV-1a, 64 bit: the hash behind [`CaseStudyConfig::fingerprint`] and
+/// `sfi_campaign::CampaignSpec::fingerprint`.  Both fingerprints name
+/// files on disk, so its output must never change.
+pub struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+    /// Feeds `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn finish(&self) -> u64 {
+    /// Feeds `v` as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Default for Fnv {
+    /// A hasher at the FNV-1a 64-bit offset basis.
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
 }
 
@@ -240,6 +252,20 @@ mod tests {
             && AluOp::ALL.iter().all(|&op| {
                 (0..a.endpoint_count()).all(|e| a.cdf(op, e).samples() == b.cdf(op, e).samples())
             })
+    }
+
+    /// The fingerprint names the cache file on disk, so it must not
+    /// move: a changed value orphans every existing cache.
+    #[test]
+    fn fingerprint_is_pinned() {
+        assert_eq!(
+            CaseStudyConfig::paper().fingerprint(),
+            0xfe56_9ca4_477a_d460
+        );
+        assert_eq!(
+            CaseStudyConfig::fast_for_tests().fingerprint(),
+            0xec15_141d_a70f_f86c
+        );
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub fn add_sub_ripple(n: &mut Netlist, a: &[NodeId], b: &[NodeId], sub: NodeId) 
 }
 
 /// Instantiates a carry-select adder built from ripple blocks of
-/// `block_width` bits.  Used by ablation benches to study how a flatter
-/// arrival-time profile changes the extracted CDFs.
+/// `block_width` bits: a flatter arrival-time profile than the ripple
+/// adder, for studying how it changes the extracted CDFs.
 ///
 /// # Panics
 ///
