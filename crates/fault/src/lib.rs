@@ -49,4 +49,4 @@ pub use model_a::FixedProbabilityModel;
 pub use model_b::{StaPeriodViolationModel, StaWithNoiseModel};
 pub use model_c::StatisticalDtaModel;
 pub use operating_point::{OperatingPoint, WORST_FACTOR_GUARD_BAND};
-pub use table::DtaFaultTable;
+pub use table::{DtaFaultTable, EndpointClasses};

@@ -1,4 +1,17 @@
 //! Models B and B+: static-timing-based period-violation fault injection.
+//!
+//! # Random-number consumption of model B+
+//!
+//! Model B+ draws nothing but its noise sample: two words per cycle, none
+//! at σ = 0.  Its mask `delay * factor > period` per endpoint can only
+//! grow with the factor (the product rounds monotonically), and every
+//! factor the clipped noise can produce lies between the guard-banded best
+//! and worst factors of the operating point.  When the masks at those two
+//! factors agree, the mask is the same on every cycle; the model then
+//! advances the generator with
+//! [`VoltageNoise::skip_sample`](sfi_timing::VoltageNoise::skip_sample)
+//! instead of sampling, as it also does outside the fault-injection
+//! window, so the noise sequence stays cycle-aligned either way.
 
 use crate::operating_point::OperatingPoint;
 use rand::rngs::SmallRng;
@@ -148,6 +161,9 @@ pub struct StaWithNoiseModel {
     /// Whether no endpoint violates even at the worst clipped droop,
     /// fixed at construction (see [`FaultInjector::never_faults`]).
     never_faults: bool,
+    /// The mask of every in-window cycle when the noise cannot change it
+    /// (see the module docs).
+    constant_mask: Option<u32>,
     rng: SmallRng,
 }
 
@@ -203,16 +219,19 @@ impl StaWithNoiseModel {
         seed: u64,
     ) -> Self {
         let nominal_factor = curve.delay_factor(point.vdd());
-        // Every per-cycle factor is at most the worst clipped-droop factor
-        // and `delay * factor` rounds monotonically, so a clean mask at
-        // that factor is clean on every cycle.
-        let never_faults = sta.violation_mask(point.worst_delay_factor(&curve)) == 0;
+        // Every per-cycle factor lies between the best and the worst
+        // clipped factor and `delay * factor` rounds monotonically, so a
+        // clean mask at the worst factor is clean on every cycle, and equal
+        // masks at both ends hold on every cycle.
+        let worst_mask = sta.violation_mask(point.worst_delay_factor(&curve));
+        let best_mask = sta.violation_mask(point.best_delay_factor(&curve));
         StaWithNoiseModel {
             sta,
             point,
             curve,
             nominal_factor,
-            never_faults,
+            never_faults: worst_mask == 0,
+            constant_mask: (best_mask == worst_mask).then_some(worst_mask),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -231,11 +250,17 @@ impl StaWithNoiseModel {
 impl FaultInjector for StaWithNoiseModel {
     fn inject(&mut self, ctx: &ExStageContext) -> u32 {
         // A new independent noise value is drawn every cycle, also outside
-        // the kernel window, to keep the noise sequence cycle-aligned.
-        let noise = self.point.noise().sample_volts(&mut self.rng);
+        // the kernel window, to keep the noise sequence cycle-aligned; it
+        // is only computed when it can change the mask.
         if !ctx.fi_enabled {
+            self.point.noise().skip_sample(&mut self.rng);
             return 0;
         }
+        if let Some(mask) = self.constant_mask {
+            self.point.noise().skip_sample(&mut self.rng);
+            return mask;
+        }
+        let noise = self.point.noise().sample_volts(&mut self.rng);
         let factor = self.curve.noise_scaling_factor_with_nominal(
             self.point.vdd(),
             noise,
@@ -368,6 +393,44 @@ mod tests {
         for _ in 0..200 {
             assert_eq!(a.inject(&ctx(true)), b.inject(&ctx(true)));
         }
+    }
+
+    #[test]
+    fn constant_mask_holds_at_every_reachable_noise_value() {
+        use crate::model_c::tests::{bumpy_curve, noise_grid};
+        let ch = characterization();
+        let (mut constant, mut varying) = (0, 0);
+        for curve in [
+            VddDelayCurve::from_scaling(&VoltageScaling::default_28nm(), 0.6, 1.0, 5),
+            bumpy_curve(),
+        ] {
+            let curve = Arc::new(curve);
+            let nominal = curve.delay_factor(0.7);
+            for sigma_mv in [0.0, 10.0, 25.0] {
+                for ratio in [0.9, 0.97, 1.0, 1.01, 1.05, 1.1, 1.3, 2.5] {
+                    let point = OperatingPoint::new(ch.sta_limit_mhz() * ratio, 0.7)
+                        .with_noise_sigma_mv(sigma_mv);
+                    let model = StaWithNoiseModel::new(&ch, point, Arc::clone(&curve), 0);
+                    let Some(mask) = model.constant_mask else {
+                        varying += 1;
+                        continue;
+                    };
+                    constant += 1;
+                    for noise in noise_grid(point, &curve) {
+                        let factor = curve.noise_scaling_factor_with_nominal(0.7, noise, nominal);
+                        assert_eq!(
+                            mask,
+                            model.sta.violation_mask(factor),
+                            "{point} noise {noise}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            constant > 0 && varying > 0,
+            "{constant} constant, {varying} varying"
+        );
     }
 
     #[test]

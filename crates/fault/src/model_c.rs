@@ -1,8 +1,35 @@
 //! Model C: the proposed statistical, instruction-aware fault injection.
+//!
+//! # Per-point endpoint classes
+//!
+//! A cycle's noise sample only moves the effective period, and every
+//! period the clipped noise can produce at an operating point lies in one
+//! range `[period / worst factor, period / best factor]` (both factors
+//! guard-banded, see [`crate::WORST_FACTOR_GUARD_BAND`]).  At construction
+//! the model sorts each instruction's endpoints over that range with
+//! [`DtaFaultTable::endpoint_classes`]: `always` (p = 1 on every cycle),
+//! `varies`, and the rest (p = 0 on every cycle).  Far from the
+//! transition region most instructions have no `varies` endpoint at all.
+//!
+//! # Random-number consumption
+//!
+//! The model must consume exactly the random numbers of the plain
+//! per-cycle walk, or every later cycle of the trial would see different
+//! faults.  The walk takes two words for the noise sample (none at
+//! σ = 0), then one word per endpoint with `p > 0` from `gen_bool(p)`.
+//! On a cycle outside the fault-injection window, or of an instruction
+//! with no `varies` endpoint, the noise value cannot change the outcome:
+//! the model then advances the generator by
+//! [`VoltageNoise::skip_sample`](sfi_timing::VoltageNoise::skip_sample)
+//! instead of sampling, and by one word per `always` endpoint — exactly
+//! what `gen_bool(1.0)` consumes, and it always returns `true` — so the
+//! mask is `always`.  Every other cycle samples the noise and walks only
+//! the `always | varies` endpoints, which include every endpoint with
+//! `p > 0`.
 
 use crate::map::alu_op_for_class;
 use crate::operating_point::OperatingPoint;
-use crate::table::DtaFaultTable;
+use crate::table::{DtaFaultTable, EndpointClasses};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sfi_cpu::{ExStageContext, FaultInjector};
@@ -20,6 +47,10 @@ use std::sync::Arc;
 /// 2. looks up the timing-error probability `P_{E,V,I}(f)` of every
 ///    endpoint for the instruction currently in the execution stage, and
 /// 3. flips each endpoint bit with that probability.
+///
+/// A cycle whose mask the noise provably cannot change skips the
+/// arithmetic of steps 1 and 2 but not their random numbers (see the
+/// module docs), so every fault sequence is that of the plain walk.
 ///
 /// This is the model that reproduces the gradual transition regions between
 /// error-free operation and complete failure (Figs. 4–7 of the paper).
@@ -42,6 +73,10 @@ pub struct StatisticalDtaModel {
     /// worst clipped droop, fixed at construction (see
     /// [`FaultInjector::never_faults`]).
     never_faults: bool,
+    /// Endpoint classes per instruction, indexed by `AluOp::code()`, over
+    /// every threshold the clipped noise can produce (see the module
+    /// docs).
+    classes: [EndpointClasses; AluOp::ALL.len()],
     rng: SmallRng,
 }
 
@@ -102,13 +137,20 @@ impl StatisticalDtaModel {
             .iter()
             .map(|&op| table.max_delay_ps(op))
             .fold(0.0, f64::max);
-        let never_faults = worst_delay_ps * point.worst_delay_factor(&curve) <= point.period_ps();
+        let worst_factor = point.worst_delay_factor(&curve);
+        let never_faults = worst_delay_ps * worst_factor <= point.period_ps();
+        // Division rounds monotonically, so every cycle's threshold
+        // `period / factor` lies between these two.
+        let lo_ps = point.period_ps() / worst_factor;
+        let hi_ps = point.period_ps() / point.best_delay_factor(&curve);
+        let classes = AluOp::ALL.map(|op| table.endpoint_classes(op, lo_ps, hi_ps));
         StatisticalDtaModel {
             table,
             point,
             period_ps: point.period_ps(),
             nominal_factor,
             never_faults,
+            classes,
             curve,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -149,30 +191,42 @@ impl StatisticalDtaModel {
 
 impl FaultInjector for StatisticalDtaModel {
     fn inject(&mut self, ctx: &ExStageContext) -> u32 {
-        // Step 1: per-cycle supply-noise sample -> CDF scaling factor.
-        let noise = self.point.noise().sample_volts(&mut self.rng);
+        // Cycles whose outcome the noise cannot change consume the walk's
+        // random numbers without computing them (see the module docs).
         if !ctx.fi_enabled {
+            self.point.noise().skip_sample(&mut self.rng);
             return 0;
         }
+        let op = alu_op_for_class(ctx.alu_class);
+        let classes = self.classes[op.code() as usize];
+        if classes.varies == 0 {
+            self.point.noise().skip_sample(&mut self.rng);
+            for _ in 0..classes.always.count_ones() {
+                self.rng.next_u64();
+            }
+            return classes.always;
+        }
+
+        // Step 1: per-cycle supply-noise sample -> CDF scaling factor.
+        let noise = self.point.noise().sample_volts(&mut self.rng);
         let delay_factor = self.curve.noise_scaling_factor_with_nominal(
             self.point.vdd(),
             noise,
             self.nominal_factor,
         );
         debug_assert!(delay_factor > 0.0, "delay factor must be positive");
-        let op = alu_op_for_class(ctx.alu_class);
         // delay * factor > period  <=>  delay > period / factor; computing
         // the scaled threshold once per cycle replaces one division per
         // endpoint with one comparison per endpoint.
         let threshold_ps = self.period_ps / delay_factor;
 
-        // Steps 2 + 3: per-endpoint probabilities, independent Bernoulli
-        // draws (skipped wholesale when the instruction's worst sample
-        // meets the scaled period — the common case below the transition
-        // region).
+        // Steps 2 + 3: per-endpoint probabilities and independent
+        // Bernoulli draws, over the endpoints that can have p > 0.
         let rng = &mut self.rng;
         self.table
-            .violation_mask(op, threshold_ps, |p| rng.gen_bool(p))
+            .violation_mask(op, classes.always | classes.varies, threshold_ps, |p| {
+                rng.gen_bool(p)
+            })
     }
 
     fn never_faults(&self) -> bool {
@@ -181,7 +235,7 @@ impl FaultInjector for StatisticalDtaModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sfi_isa::AluClass;
     use sfi_netlist::alu::AluDatapath;
@@ -321,6 +375,82 @@ mod tests {
         assert_eq!(m.inject(&off_ctx), 0);
         assert!(m.characterization().endpoint_count() > 0);
         assert_eq!(m.operating_point().vdd(), 0.7);
+    }
+
+    /// Noise values at which a class bound could break: both clip ends,
+    /// every curve knot inside the clipped range (and its neighbours), and
+    /// a dense grid in between.
+    pub(crate) fn noise_grid(point: OperatingPoint, curve: &VddDelayCurve) -> Vec<f64> {
+        let excursion = point.noise().max_excursion_volts();
+        let mut grid = vec![-excursion, excursion];
+        for &v in curve.voltages() {
+            let noise = v - point.vdd();
+            if noise.abs() <= excursion {
+                grid.extend([noise.next_down(), noise, noise.next_up()]);
+            }
+        }
+        grid.extend((0..=64).map(|i| excursion * (i as f64 / 32.0 - 1.0)));
+        grid.retain(|n| n.abs() <= excursion);
+        grid
+    }
+
+    /// A non-monotone curve with knots inside the 10 and 25 mV clip
+    /// ranges around 0.7 V.
+    pub(crate) fn bumpy_curve() -> VddDelayCurve {
+        VddDelayCurve::from_samples(&[
+            (0.6, 1.5),
+            (0.69, 1.02),
+            (0.7, 1.0),
+            (0.705, 1.01),
+            (0.71, 0.97),
+            (0.8, 0.8),
+        ])
+    }
+
+    #[test]
+    fn endpoint_classes_hold_at_every_reachable_noise_value() {
+        let ch = Arc::new(characterization());
+        let table = Arc::new(DtaFaultTable::new(Arc::clone(&ch)));
+        let mut seen = [false; 3];
+        for curve in [curve(), bumpy_curve()] {
+            let curve = Arc::new(curve);
+            let nominal = curve.delay_factor(0.7);
+            for sigma_mv in [0.0, 10.0, 25.0] {
+                for ratio in [0.9, 1.0, 1.05, 1.1, 1.25, 1.3, 1.6, 2.5] {
+                    let point = OperatingPoint::new(ch.sta_limit_mhz() * ratio, 0.7)
+                        .with_noise_sigma_mv(sigma_mv);
+                    let model = StatisticalDtaModel::from_table(
+                        Arc::clone(&table),
+                        point,
+                        Arc::clone(&curve),
+                        0,
+                    );
+                    for noise in noise_grid(point, &curve) {
+                        // The threshold exactly as `inject` computes it.
+                        let factor = curve.noise_scaling_factor_with_nominal(0.7, noise, nominal);
+                        let threshold = point.period_ps() / factor;
+                        for op in AluOp::ALL {
+                            let classes = model.classes[op.code() as usize];
+                            assert_eq!(classes.always & classes.varies, 0);
+                            for e in 0..table.endpoint_count() {
+                                let p = table.error_probability(op, e, threshold);
+                                let case = format!("{op:?} endpoint {e} at {point} noise {noise}");
+                                if classes.always & (1 << e) != 0 {
+                                    assert_eq!(p, 1.0, "{case}");
+                                    seen[0] = true;
+                                } else if classes.varies & (1 << e) == 0 {
+                                    assert_eq!(p, 0.0, "{case}");
+                                    seen[1] = true;
+                                } else {
+                                    seen[2] = true;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 3], "the sweep must reach all three classes");
     }
 
     #[test]

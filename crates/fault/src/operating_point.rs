@@ -3,8 +3,9 @@
 use sfi_timing::{freq_mhz_to_period_ps, VddDelayCurve, VoltageNoise};
 use std::fmt;
 
-/// Relative guard band on the worst per-cycle delay factor that the
-/// fault-free bound of models B+ and C assumes.
+/// Relative guard band on the per-cycle delay-factor bounds that models
+/// B+ and C assume: the worst factor behind the fault-free bound, and the
+/// best factor behind the noise-independent endpoint classes.
 ///
 /// The per-cycle factor the models compute can exceed the exact maximum
 /// of the curve by a few ulps of interpolation and division rounding
@@ -107,6 +108,18 @@ impl OperatingPoint {
             / curve.delay_factor(self.vdd);
         worst * (1.0 + WORST_FACTOR_GUARD_BAND)
     }
+
+    /// A lower bound on every per-cycle delay scaling factor the noisy
+    /// models can compute at this point on `curve`: the mirror image of
+    /// [`OperatingPoint::worst_delay_factor`], built on
+    /// [`VddDelayCurve::min_delay_factor`] over the same clipped supply
+    /// range and lowered by the same relative guard band.
+    pub(crate) fn best_delay_factor(&self, curve: &VddDelayCurve) -> f64 {
+        let excursion = self.noise.max_excursion_volts();
+        let best = curve.min_delay_factor(self.vdd - excursion, self.vdd + excursion)
+            / curve.delay_factor(self.vdd);
+        best * (1.0 - WORST_FACTOR_GUARD_BAND)
+    }
 }
 
 impl fmt::Display for OperatingPoint {
@@ -160,6 +173,24 @@ mod tests {
             (noisy.worst_delay_factor(&curve) / droop - 1.0 - WORST_FACTOR_GUARD_BAND).abs()
                 < 1e-12
         );
+    }
+
+    #[test]
+    fn best_delay_factor_is_the_clipped_overshoot() {
+        let curve = VddDelayCurve::from_samples(&[(0.6, 1.4), (0.7, 1.0), (0.8, 0.8)]);
+        let quiet = OperatingPoint::new(700.0, 0.7);
+        assert_eq!(
+            quiet.best_delay_factor(&curve),
+            1.0 - WORST_FACTOR_GUARD_BAND
+        );
+        // 10 mV clipped at 2 sigma: the highest supply is 0.72 V.
+        let noisy = quiet.with_noise_sigma_mv(10.0);
+        let overshoot = curve.delay_factor(0.72);
+        assert!(
+            (noisy.best_delay_factor(&curve) / overshoot - 1.0 + WORST_FACTOR_GUARD_BAND).abs()
+                < 1e-12
+        );
+        assert!(noisy.best_delay_factor(&curve) < noisy.worst_delay_factor(&curve));
     }
 
     #[test]

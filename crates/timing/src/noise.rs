@@ -109,6 +109,22 @@ impl VoltageNoise {
         let clipped = z.clamp(-self.clip_sigmas, self.clip_sigmas);
         clipped * self.sigma_volts
     }
+
+    /// Advances `rng` exactly as [`VoltageNoise::sample_volts`] would,
+    /// without computing the sample: two words when σ > 0, none
+    /// otherwise.
+    ///
+    /// Callers that can prove a cycle's noise value does not matter use
+    /// this to keep the random stream aligned with the cycles that do
+    /// sample, at the cost of two generator steps instead of a logarithm,
+    /// a square root and a cosine.
+    pub fn skip_sample<R: Rng + ?Sized>(&self, rng: &mut R) {
+        if self.sigma_volts == 0.0 {
+            return;
+        }
+        rng.next_u64();
+        rng.next_u64();
+    }
 }
 
 impl Default for VoltageNoise {
@@ -170,6 +186,20 @@ mod tests {
         let wide = n.with_clip_sigmas(3.0);
         assert_eq!(wide.clip_sigmas(), 3.0);
         assert!(wide.max_excursion_volts() > n.max_excursion_volts());
+    }
+
+    #[test]
+    fn skip_sample_consumes_what_sample_volts_does() {
+        for sigma_mv in [0.0, 10.0, 25.0] {
+            let n = VoltageNoise::with_sigma_mv(sigma_mv);
+            let mut sampled = SmallRng::seed_from_u64(11);
+            let mut skipped = SmallRng::seed_from_u64(11);
+            for _ in 0..100 {
+                n.sample_volts(&mut sampled);
+                n.skip_sample(&mut skipped);
+            }
+            assert_eq!(sampled, skipped, "sigma {sigma_mv} mV");
+        }
     }
 
     #[test]

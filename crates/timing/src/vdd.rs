@@ -129,6 +129,26 @@ impl VddDelayCurve {
             .fold(self.delay_factor(lo).max(self.delay_factor(hi)), f64::max)
     }
 
+    /// The smallest [`VddDelayCurve::delay_factor`] over the supply range
+    /// `[lo, hi]`, found the same way as
+    /// [`VddDelayCurve::max_delay_factor`]: from both ends and every knot
+    /// strictly between them, with no monotonicity assumed.  The result
+    /// can be a few ulps above a value `delay_factor` computes inside a
+    /// segment; callers that need a hard bound add a relative guard band.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub fn min_delay_factor(&self, lo: f64, hi: f64) -> f64 {
+        assert!(lo <= hi, "empty voltage range [{lo}, {hi}]");
+        self.voltages
+            .iter()
+            .zip(&self.factors)
+            .filter(|(&v, _)| lo < v && v < hi)
+            .map(|(_, &f)| f)
+            .fold(self.delay_factor(lo).min(self.delay_factor(hi)), f64::min)
+    }
+
     /// Per-cycle delay scaling factor caused by a momentary noise excursion
     /// `noise_volts` around the nominal supply `vdd`.
     ///
@@ -246,6 +266,27 @@ mod tests {
     #[should_panic(expected = "empty voltage range")]
     fn max_delay_factor_rejects_an_empty_range() {
         curve().max_delay_factor(0.8, 0.7);
+    }
+
+    #[test]
+    fn min_delay_factor_covers_ends_and_inner_knots() {
+        // Non-monotone: a dip at 0.7 V that neither end of [0.65, 0.75]
+        // sees.
+        let c = VddDelayCurve::from_samples(&[(0.6, 1.2), (0.7, 0.5), (0.8, 0.9)]);
+        assert_eq!(c.min_delay_factor(0.65, 0.75), 0.5);
+        assert_eq!(c.min_delay_factor(0.7, 0.7), 0.5);
+        assert!((c.min_delay_factor(0.62, 0.68) - c.delay_factor(0.68)).abs() < 1e-15);
+        // Clamped outside the sampled range.
+        assert_eq!(c.min_delay_factor(0.85, 1.0), 0.9);
+        // A monotone curve's minimum is its high end.
+        let m = curve();
+        assert_eq!(m.min_delay_factor(0.68, 0.72), m.delay_factor(0.72));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty voltage range")]
+    fn min_delay_factor_rejects_an_empty_range() {
+        curve().min_delay_factor(0.8, 0.7);
     }
 
     #[test]

@@ -1,18 +1,29 @@
-//! Property test: the table-driven model C (flattened [`DtaFaultTable`]
-//! with a max-delay fast path and hoisted nominal delay factor) produces
-//! bit-identical fault masks to a naive per-endpoint reference that walks
-//! the characterization CDFs exactly the way the pre-optimization
-//! implementation did.
+//! Property tests: the table-driven models C and B+ produce bit-identical
+//! fault masks to naive references that compute every cycle the way the
+//! pre-optimization implementations did.
+//!
+//! Model C keeps a compact distinct-value CDF per endpoint and skips the
+//! noise sample and the walk whenever its per-point endpoint classes prove
+//! the noise cannot change a cycle's mask; model B+ does the same when its
+//! mask is constant over the clipped noise range.  Both must still consume
+//! exactly the reference's random numbers.  The sweep runs from below the
+//! STA limit (every endpoint at p = 0) through the transition region
+//! (partial endpoints) to 2.5 x STA (most endpoints at p = 1), and each
+//! sequence is long enough that a single missing or extra draw shows up
+//! as a different mask on a later cycle.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sfi_cpu::{ExStageContext, FaultInjector};
-use sfi_fault::{alu_op_for_class, OperatingPoint, StatisticalDtaModel};
+use sfi_fault::{
+    alu_op_for_class, DtaFaultTable, OperatingPoint, StaWithNoiseModel, StatisticalDtaModel,
+};
 use sfi_isa::AluClass;
 use sfi_netlist::alu::AluDatapath;
 use sfi_netlist::{DelayModel, VoltageScaling};
 use sfi_timing::{characterize_alu, CharacterizationConfig, TimingCharacterization, VddDelayCurve};
+use std::sync::Arc;
 
 /// The pre-optimization model C, kept verbatim as the reference: per
 /// endpoint it queries the characterization CDF (binary search per
@@ -48,6 +59,46 @@ impl FaultInjector for NaiveModelC {
     }
 }
 
+/// The pre-optimization model B+, kept verbatim as the reference: a noise
+/// sample every cycle, then the STA mask at that cycle's factor.
+struct NaiveModelBPlus {
+    endpoint_delays_ps: Vec<f64>,
+    period_ps: f64,
+    point: OperatingPoint,
+    curve: VddDelayCurve,
+    nominal_factor: f64,
+    rng: SmallRng,
+}
+
+impl NaiveModelBPlus {
+    fn violation_mask(&self, delay_factor: f64) -> u32 {
+        let mut mask = 0u32;
+        for (bit, &delay) in self.endpoint_delays_ps.iter().enumerate().take(32) {
+            if delay * delay_factor > self.period_ps {
+                mask |= 1 << bit;
+            }
+        }
+        mask
+    }
+}
+
+impl FaultInjector for NaiveModelBPlus {
+    fn inject(&mut self, ctx: &ExStageContext) -> u32 {
+        // A new independent noise value is drawn every cycle, also outside
+        // the kernel window, to keep the noise sequence cycle-aligned.
+        let noise = self.point.noise().sample_volts(&mut self.rng);
+        if !ctx.fi_enabled {
+            return 0;
+        }
+        let factor = self.curve.noise_scaling_factor_with_nominal(
+            self.point.vdd(),
+            noise,
+            self.nominal_factor,
+        );
+        self.violation_mask(factor)
+    }
+}
+
 fn characterization() -> TimingCharacterization {
     let alu = AluDatapath::build(8);
     characterize_alu(
@@ -76,43 +127,108 @@ fn ctx(class: AluClass, cycle: u64, fi_enabled: bool) -> ExStageContext {
     }
 }
 
+/// From deep below the STA limit (every endpoint at p = 0) through the
+/// transition region to far beyond it (most endpoints at p = 1).
+const FREQ_FACTORS: [f64; 12] = [
+    0.9, 0.95, 0.98, 1.0, 1.02, 1.05, 1.1, 1.2, 1.3, 1.6, 2.0, 2.5,
+];
+const NOISE_SIGMAS_MV: [f64; 3] = [0.0, 10.0, 25.0];
+const CYCLES: u64 = 1500;
+
+/// Drives `optimized` and `naive` through the same random sequence of
+/// instruction classes and fault-injection-window flags and asserts every
+/// mask matches.
+fn assert_same_masks(
+    optimized: &mut dyn FaultInjector,
+    naive: &mut dyn FaultInjector,
+    seed: u64,
+    fi_rate: f64,
+    case: &str,
+) {
+    let mut class_rng = SmallRng::seed_from_u64(seed ^ 0xC1A55);
+    for cycle in 0..CYCLES {
+        let class = AluClass::ALL[class_rng.gen_range(0..AluClass::ALL.len())];
+        let fi_enabled = class_rng.gen_bool(fi_rate);
+        let c = ctx(class, cycle, fi_enabled);
+        assert_eq!(
+            optimized.inject(&c),
+            naive.inject(&c),
+            "{} cycle {} class {} fi {}",
+            case,
+            cycle,
+            class,
+            fi_enabled
+        );
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn table_driven_model_c_matches_the_naive_reference(
         seed in any::<u64>(),
-        // From deep below the STA limit (pure fast path) through the
-        // transition region to far beyond it (every endpoint violating).
-        freq_factor in prop::sample::select(vec![0.7, 0.95, 1.0, 1.05, 1.2, 1.6, 2.5]),
-        noise_sigma_mv in prop::sample::select(vec![0.0, 5.0, 10.0, 25.0]),
+        fi_rate in prop::sample::select(vec![0.2, 0.8, 1.0]),
+    ) {
+        let ch = Arc::new(characterization());
+        let table = Arc::new(DtaFaultTable::new(Arc::clone(&ch)));
+        let shared_curve = Arc::new(curve());
+        let sta = ch.sta_limit_mhz();
+        for freq_factor in FREQ_FACTORS {
+            for sigma_mv in NOISE_SIGMAS_MV {
+                let point = OperatingPoint::new(sta * freq_factor, 0.7)
+                    .with_noise_sigma_mv(sigma_mv);
+                let mut optimized = StatisticalDtaModel::from_table(
+                    Arc::clone(&table),
+                    point,
+                    Arc::clone(&shared_curve),
+                    seed,
+                );
+                let mut naive = NaiveModelC {
+                    characterization: (*ch).clone(),
+                    point,
+                    curve: curve(),
+                    rng: SmallRng::seed_from_u64(seed),
+                };
+                let case = format!("model C at {freq_factor} x STA, {sigma_mv} mV");
+                assert_same_masks(&mut optimized, &mut naive, seed, fi_rate, &case);
+            }
+        }
+    }
+
+    #[test]
+    fn model_b_plus_matches_the_naive_reference(
+        seed in any::<u64>(),
+        fi_rate in prop::sample::select(vec![0.2, 0.8, 1.0]),
     ) {
         let ch = characterization();
+        let delays: Arc<[f64]> = (0..ch.endpoint_count())
+            .map(|e| ch.sta_endpoint_delay_ps(e))
+            .collect();
+        let shared_curve = Arc::new(curve());
         let sta = ch.sta_limit_mhz();
-        let point = OperatingPoint::new(sta * freq_factor, 0.7)
-            .with_noise_sigma_mv(noise_sigma_mv);
-        let mut optimized = StatisticalDtaModel::new(ch.clone(), point, curve(), seed);
-        let mut naive = NaiveModelC {
-            characterization: ch,
-            point,
-            curve: curve(),
-            rng: SmallRng::seed_from_u64(seed),
-        };
-        // Interleave instruction classes and disabled-window cycles the way
-        // a real kernel does; the RNG streams must stay aligned throughout.
-        let mut class_rng = SmallRng::seed_from_u64(seed ^ 0xC1A55);
-        for cycle in 0..400u64 {
-            let class = AluClass::ALL[class_rng.gen_range(0..AluClass::ALL.len())];
-            let fi_enabled = class_rng.gen_bool(0.8);
-            let c = ctx(class, cycle, fi_enabled);
-            prop_assert_eq!(
-                optimized.inject(&c),
-                naive.inject(&c),
-                "cycle {} class {} fi {}",
-                cycle,
-                class,
-                fi_enabled
-            );
+        for freq_factor in FREQ_FACTORS {
+            for sigma_mv in NOISE_SIGMAS_MV {
+                let point = OperatingPoint::new(sta * freq_factor, 0.7)
+                    .with_noise_sigma_mv(sigma_mv);
+                let mut optimized = StaWithNoiseModel::from_shared(
+                    Arc::clone(&delays),
+                    ch.vdd(),
+                    point,
+                    Arc::clone(&shared_curve),
+                    seed,
+                );
+                let mut naive = NaiveModelBPlus {
+                    endpoint_delays_ps: delays.to_vec(),
+                    period_ps: point.period_ps(),
+                    point,
+                    curve: curve(),
+                    nominal_factor: curve().delay_factor(point.vdd()),
+                    rng: SmallRng::seed_from_u64(seed),
+                };
+                let case = format!("model B+ at {freq_factor} x STA, {sigma_mv} mV");
+                assert_same_masks(&mut optimized, &mut naive, seed, fi_rate, &case);
+            }
         }
     }
 }
