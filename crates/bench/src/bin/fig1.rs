@@ -60,7 +60,7 @@ fn main() {
         })
         .collect();
 
-    let result = args.engine().run(&study, &spec);
+    let result = args.run(&study, &spec);
 
     for (&(label, _, _), cells) in panels.iter().zip(sweeps) {
         println!("\n--- {label} ---");

@@ -253,7 +253,7 @@ fn main() {
         })
         .collect();
 
-    let result = args.engine().run(&study, &spec);
+    let result = args.run(&study, &spec);
 
     println!(
         "{:>10} {:>18} {:>18} {:>18}",

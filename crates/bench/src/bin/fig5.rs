@@ -45,7 +45,7 @@ fn main() {
         })
         .collect();
 
-    let result = args.engine().run(&study, &spec);
+    let result = args.run(&study, &spec);
 
     for (&(panel, vdd, sigma), cells) in panels.iter().zip(sweeps) {
         let sta = study.sta_limit_mhz(vdd);

@@ -62,7 +62,7 @@ fn main() {
         })
         .collect();
 
-    let result = args.engine().run(&study, &spec);
+    let result = args.run(&study, &spec);
 
     if let Some(threshold) = point_of_first_failure(&result.sweep_points(&spec, bplus_cells)) {
         println!("model B+ hard failure threshold (all benchmarks): {threshold:.1} MHz\n");

@@ -46,7 +46,7 @@ fn main() {
         })
         .collect();
 
-    let result = args.engine().run(&study, &spec);
+    let result = args.run(&study, &spec);
 
     for (&sigma, cells) in sigmas.iter().zip(series) {
         println!("--- Vdd noise sigma = {sigma} mV ---");

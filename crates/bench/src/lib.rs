@@ -10,8 +10,8 @@
 //! * `--fast` — use a scaled-down 8-bit case study instead of the full
 //!   32-bit one (for quick sanity checks),
 //! * `--threads N` — campaign worker threads (default: all CPUs),
-//! * `--checkpoint FILE` — stream completed campaign cells to `FILE` and
-//!   resume from it on the next run of the same configuration.
+//! * `--checkpoint FILE` — append completed campaign cells to the log
+//!   `FILE` and resume from it on the next run of the same configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,8 +19,10 @@
 pub mod asm_cli;
 pub mod lint;
 
-use sfi_campaign::CampaignEngine;
+use sfi_campaign::{checkpoint, CampaignEngine, CampaignResult, CampaignSpec, CellResult};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,17 +138,38 @@ impl ExperimentArgs {
         Ok(args)
     }
 
-    /// Builds the campaign engine matching the requested parallelism and
-    /// checkpointing.
+    /// Builds the campaign engine matching the requested parallelism.
     pub fn engine(&self) -> CampaignEngine {
-        let mut engine = CampaignEngine::new();
-        if let Some(threads) = self.threads {
-            engine = engine.with_threads(threads);
+        match self.threads {
+            Some(threads) => CampaignEngine::new().with_threads(threads),
+            None => CampaignEngine::new(),
         }
-        if let Some(path) = &self.checkpoint {
-            engine = engine.with_checkpoint(path);
+    }
+
+    /// Runs `spec` on [`ExperimentArgs::engine`].  With `--checkpoint
+    /// FILE`, the cells FILE logged for this exact spec are restored and
+    /// every newly simulated cell is appended to it as it finishes; a
+    /// checkpoint that cannot be opened or written is a warning, never the
+    /// end of the campaign.
+    pub fn run(&self, study: &CaseStudy, spec: &CampaignSpec) -> CampaignResult {
+        let engine = self.engine();
+        let Some(path) = &self.checkpoint else {
+            return engine.run(study, spec);
+        };
+        match checkpoint::open_log(Path::new(path), spec) {
+            Ok((log, cells)) => engine
+                .with_seed_cells(cells)
+                .with_progress(Arc::new(move |cell: &CellResult| {
+                    if !cell.from_checkpoint {
+                        log.append_best_effort(&checkpoint::cell_to_json(cell));
+                    }
+                }))
+                .run(study, spec),
+            Err(err) => {
+                eprintln!("warning: cannot open checkpoint {path}: {err}");
+                engine.run(study, spec)
+            }
         }
-        engine
     }
 
     /// Builds the case study matching the requested fidelity.

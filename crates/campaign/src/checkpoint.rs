@@ -1,26 +1,33 @@
-//! Campaign checkpointing and result export.
+//! Campaign checkpoints and the result document.
 //!
-//! A checkpoint is a JSON document recording every completed cell of a
-//! campaign together with the spec fingerprint it belongs to.  Writing is
-//! atomic (temp file + rename), so a campaign killed mid-write leaves the
-//! previous checkpoint intact; loading is strict about the fingerprint —
-//! a checkpoint of a different or edited spec is ignored rather than
-//! silently mixed into fresh results.
+//! A checkpoint is a [`Journal`] log: one header record
+//! `{"fingerprint", "name", "seed", "version"}` followed by one record per
+//! completed cell, appended (and fsync'd) as the cell finishes, so a
+//! checkpoint of N cells is O(N) bytes.  [`open_log`] replays it, keeps
+//! the cells only if the header matches the spec exactly — a checkpoint of
+//! a different or edited spec, a torn file or garbage starts a fresh log
+//! rather than mixing incompatible data into the results — and compacts
+//! the file.  The restored cells seed the engine through
+//! [`CampaignEngine::with_seed_cells`](crate::CampaignEngine::with_seed_cells);
+//! its progress hook appends the rest.
 //!
+//! Cells use one codec everywhere: [`cell_to_json`] encodes a checkpoint
+//! record, a serve journal `cell` payload, a wire `stream` frame and an
+//! entry of the result document [`CampaignResult::to_json`] exports.
 //! Trials are stored as compact arrays
 //! `[finished, correct, output_error, fi_rate_per_kcycle, cycles]`, with
 //! NaN (the output error of crashed runs) encoded as `null`.
 
-use crate::engine::{CampaignResult, CellResult};
+use crate::engine::{restorable, CampaignResult, CellResult};
+use crate::journal::{self, Journal};
 use crate::json::Json;
 use crate::spec::CampaignSpec;
 use crate::stats::CellStats;
 use sfi_core::TrialResult;
-use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Current checkpoint format version.
+/// Format version of the checkpoint header and the result document.
 pub const FORMAT_VERSION: u64 = 1;
 
 fn trial_to_json(t: &TrialResult) -> Json {
@@ -43,12 +50,12 @@ fn trial_from_json(value: &Json) -> Option<TrialResult> {
         correct: fields[1].as_bool()?,
         output_error: fields[2].as_f64()?,
         fi_rate_per_kcycle: fields[3].as_f64()?,
-        cycles: fields[4].as_f64()? as u64,
+        cycles: fields[4].as_u64()?,
     })
 }
 
-/// Serializes one cell result (the per-cell unit of the checkpoint
-/// format, and the frame payload the serve protocol streams).
+/// Serializes one cell result (a checkpoint record, and the frame payload
+/// the serve protocol streams).
 pub fn cell_to_json(cell: &CellResult) -> Json {
     Json::obj([
         ("cell", Json::Num(cell.cell as f64)),
@@ -82,122 +89,73 @@ pub fn cell_from_json(value: &Json) -> Option<CellResult> {
     })
 }
 
-/// Serializes completed cells (plus identifying campaign metadata) to a
-/// JSON document.
-pub fn document(spec: &CampaignSpec, fingerprint: u64, cells: &[CellResult]) -> Json {
+fn header(spec: &CampaignSpec) -> Json {
     Json::obj([
         ("version", Json::Num(FORMAT_VERSION as f64)),
         ("name", Json::Str(spec.name.clone())),
         ("seed", Json::Str(spec.seed.to_string())),
-        ("fingerprint", Json::Str(fingerprint.to_string())),
-        ("cells", Json::Arr(cells.iter().map(cell_to_json).collect())),
+        ("fingerprint", Json::Str(spec.fingerprint().to_string())),
     ])
 }
 
-/// Serializes one cell to its JSON string (the engine caches these so a
-/// checkpoint write encodes only the newly finished cell).
-pub(crate) fn cell_json_string(cell: &CellResult) -> String {
-    cell_to_json(cell).to_string()
-}
-
-/// Renders the full checkpoint document from already-serialized cell
-/// strings.  Byte-identical to `document(..).to_string()` — object keys in
-/// alphabetical order, matching the canonical `Json::Obj` writer.
-pub(crate) fn document_text<'a>(
-    spec: &CampaignSpec,
-    fingerprint: u64,
-    cells: impl Iterator<Item = &'a String>,
-) -> String {
-    let mut out = String::from("{\"cells\":[");
-    for (i, cell) in cells.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(cell);
-    }
-    out.push_str("],\"fingerprint\":");
-    out.push_str(&Json::Str(fingerprint.to_string()).to_string());
-    out.push_str(",\"name\":");
-    out.push_str(&Json::Str(spec.name.clone()).to_string());
-    out.push_str(",\"seed\":");
-    out.push_str(&Json::Str(spec.seed.to_string()).to_string());
-    out.push_str(",\"version\":1}");
-    out
-}
-
-/// Atomically writes `text` to `path` (temp file + rename).
-pub(crate) fn store_text(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, text)?;
-    fs::rename(&tmp, path)
-}
-
-/// Atomically writes the checkpoint for `cells` to `path`.
-pub fn store_cells(
-    path: &Path,
-    spec: &CampaignSpec,
-    fingerprint: u64,
-    cells: &[CellResult],
-) -> io::Result<()> {
-    store_text(path, &document(spec, fingerprint, cells).to_string())
-}
-
-/// Loads the checkpoint at `path`, returning per-cell restored results
-/// aligned with `spec.cells()`.
+/// Opens the checkpoint log of `spec` at `path`, returning it (ready for
+/// appending cell records) with the cells it restores.
 ///
-/// Missing files, malformed JSON, wrong versions and fingerprint
-/// mismatches all yield an all-`None` vector: resuming falls back to a
-/// fresh run instead of failing or mixing incompatible data.  Cells whose
-/// index is out of range for the spec are ignored.
-pub fn load_cells(path: &Path, spec: &CampaignSpec, fingerprint: u64) -> Vec<Option<CellResult>> {
-    let mut restored = vec![None; spec.cells().len()];
-    let Ok(text) = fs::read_to_string(path) else {
-        return restored;
-    };
-    let Ok(doc) = Json::parse(&text) else {
-        return restored;
-    };
-    if doc.get("version").and_then(Json::as_u64) != Some(FORMAT_VERSION) {
-        return restored;
-    }
-    if doc.get("fingerprint").and_then(Json::as_u64) != Some(fingerprint) {
-        return restored;
-    }
-    let Some(cells) = doc.get("cells").and_then(Json::as_arr) else {
-        return restored;
-    };
-    for value in cells {
-        if let Some(cell) = cell_from_json(value) {
-            // Only accept cells that fit the spec's budget; a truncated or
-            // hand-edited file must not inject impossible states.
-            if let Some(slot) = restored.get_mut(cell.cell) {
-                let budget = spec.cells()[cell.cell].budget;
-                if !cell.trials.is_empty() && cell.trials.len() <= budget.max_trials {
-                    *slot = Some(cell);
-                }
+/// Restored cells are those after a header matching `spec`, decoded,
+/// in range for the spec and [restorable](crate::CampaignEngine::with_seed_cells)
+/// under their budget; the first record of a cell index wins.  The log is
+/// then rewritten to exactly that header and those cells, so a missing
+/// file, a torn tail, a foreign fingerprint, an old JSON-document
+/// checkpoint or garbage all leave a fresh log behind.  Errors are I/O
+/// failures only.
+pub fn open_log(path: &Path, spec: &CampaignSpec) -> io::Result<(Journal, Vec<CellResult>)> {
+    let header = header(spec);
+    let records = journal::replay_file(path)?;
+    let mut cells: Vec<CellResult> = Vec::new();
+    if records.first() == Some(&header) {
+        let mut seen = vec![false; spec.cells().len()];
+        for cell in records[1..].iter().filter_map(cell_from_json) {
+            let Some(cell_spec) = spec.cells().get(cell.cell) else {
+                continue;
+            };
+            if !seen[cell.cell] && restorable(&cell, &cell_spec.budget) {
+                seen[cell.cell] = true;
+                cells.push(cell);
             }
         }
     }
-    restored
+    let compacted: Vec<Json> = std::iter::once(header)
+        .chain(cells.iter().map(cell_to_json))
+        .collect();
+    let log = Journal::rewrite(path, &compacted)?;
+    Ok((log, cells))
 }
 
 impl CampaignResult {
-    /// Exports the full campaign result as a JSON document (the same
-    /// format checkpoints use, so exported results can seed a resumed
-    /// run).
+    /// Exports the full campaign result as the result document: campaign
+    /// metadata plus every cell in spec order.
     pub fn to_json(&self, spec: &CampaignSpec) -> Json {
-        document(spec, self.fingerprint, &self.cells)
-    }
-
-    /// Writes the JSON export to `path` atomically.
-    pub fn write_json(&self, spec: &CampaignSpec, path: impl AsRef<Path>) -> io::Result<()> {
-        store_cells(path.as_ref(), spec, self.fingerprint, &self.cells)
+        Json::obj([
+            ("version", Json::Num(FORMAT_VERSION as f64)),
+            ("name", Json::Str(spec.name.clone())),
+            ("seed", Json::Str(spec.seed.to_string())),
+            ("fingerprint", Json::Str(self.fingerprint.to_string())),
+            (
+                "cells",
+                Json::Arr(self.cells.iter().map(cell_to_json).collect()),
+            ),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{CellSpec, TrialBudget};
+    use sfi_core::FaultModel;
+    use sfi_fault::OperatingPoint;
+    use sfi_kernels::median::MedianBenchmark;
+    use std::path::PathBuf;
 
     #[test]
     fn trial_encoding_round_trips_including_nan() {
@@ -237,37 +195,146 @@ mod tests {
     }
 
     #[test]
-    fn incremental_document_matches_the_one_shot_writer() {
-        use crate::spec::CampaignSpec;
-        use crate::stats::CellStats;
+    fn corrupt_cycle_counts_are_rejected() {
+        for cycles in [-1.0, 1.5, 1e300] {
+            let trial = Json::Arr(vec![
+                Json::Bool(true),
+                Json::Bool(true),
+                Json::Num(0.0),
+                Json::Num(0.0),
+                Json::Num(cycles),
+            ]);
+            assert_eq!(trial_from_json(&trial), None, "cycles = {cycles}");
+        }
+    }
 
-        let spec = CampaignSpec::new("doc \"equivalence\"", u64::MAX);
-        let trials = vec![TrialResult {
-            finished: true,
-            correct: true,
-            output_error: 0.0,
-            fi_rate_per_kcycle: 0.5,
-            cycles: 42,
-        }];
-        let cells = vec![
-            CellResult {
-                cell: 0,
-                stats: CellStats::from_trials(&trials),
-                trials: trials.clone(),
-                stopped_early: true,
-                from_checkpoint: false,
-            },
-            CellResult {
-                cell: 1,
-                stats: CellStats::from_trials(&trials),
-                trials,
-                stopped_early: false,
-                from_checkpoint: false,
-            },
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "sfi-ckpt-{name}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir.join("campaign.ckpt")
+    }
+
+    fn two_cell_spec(seed: u64) -> CampaignSpec {
+        let mut spec = CampaignSpec::new("log", seed);
+        let median = spec.add_benchmark(MedianBenchmark::new(5, 1));
+        for _ in 0..2 {
+            spec.add_cell(CellSpec {
+                benchmark: median,
+                model: FaultModel::None,
+                point: OperatingPoint::new(500.0, 0.7),
+                budget: TrialBudget::fixed(2),
+            });
+        }
+        spec
+    }
+
+    fn cell(index: usize) -> CellResult {
+        let trials = vec![
+            TrialResult {
+                finished: true,
+                correct: true,
+                output_error: 0.0,
+                fi_rate_per_kcycle: 0.0,
+                cycles: 40 + index as u64,
+            };
+            2
         ];
-        let one_shot = document(&spec, 0xDEAD_BEEF, &cells).to_string();
-        let encoded: Vec<String> = cells.iter().map(cell_json_string).collect();
-        let incremental = document_text(&spec, 0xDEAD_BEEF, encoded.iter());
-        assert_eq!(incremental, one_shot);
+        CellResult {
+            cell: index,
+            stats: CellStats::from_trials(&trials),
+            trials,
+            stopped_early: false,
+            from_checkpoint: false,
+        }
+    }
+
+    #[test]
+    fn a_log_is_its_header_plus_one_framed_record_per_cell() {
+        let path = temp_path("size");
+        let spec = two_cell_spec(1);
+        let (log, restored) = open_log(&path, &spec).expect("opens");
+        assert!(restored.is_empty());
+        for index in [1, 0] {
+            log.append(&cell_to_json(&cell(index))).expect("appends");
+        }
+        drop(log);
+        let expected = journal::frame(&header(&spec)).len()
+            + journal::frame(&cell_to_json(&cell(1))).len()
+            + journal::frame(&cell_to_json(&cell(0))).len();
+        assert_eq!(
+            std::fs::metadata(&path).expect("exists").len() as usize,
+            expected
+        );
+
+        let (_, restored) = open_log(&path, &spec).expect("reopens");
+        let indices: Vec<usize> = restored.iter().map(|c| c.cell).collect();
+        assert_eq!(indices, vec![1, 0], "log order");
+        assert!(restored.iter().all(|c| c.from_checkpoint));
+        assert_eq!(restored[1].trials, cell(0).trials);
+        // Compaction rewrote the same bytes.
+        assert_eq!(
+            std::fs::metadata(&path).expect("exists").len() as usize,
+            expected
+        );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn foreign_old_and_garbage_files_start_a_fresh_log() {
+        let path = temp_path("fresh");
+        let spec = two_cell_spec(1);
+        let fresh_len = journal::frame(&header(&spec)).len() as u64;
+
+        // A log of another spec (changed seed, so another fingerprint).
+        let (log, _) = open_log(&path, &two_cell_spec(2)).expect("opens");
+        log.append(&cell_to_json(&cell(0))).expect("appends");
+        drop(log);
+        // An old JSON-document checkpoint of this very spec.
+        let result = CampaignResult {
+            name: spec.name.clone(),
+            seed: spec.seed,
+            fingerprint: spec.fingerprint(),
+            cells: vec![cell(0), cell(1)],
+            metrics: Default::default(),
+            cancelled: false,
+        };
+        let old_document = result.to_json(&spec).to_string().into_bytes();
+        for bytes in [
+            std::fs::read(&path).expect("foreign log"),
+            old_document,
+            b"\x07garbage".to_vec(),
+            Vec::new(),
+        ] {
+            std::fs::write(&path, &bytes).expect("writes");
+            let (_, restored) = open_log(&path, &spec).expect("never an error");
+            assert!(restored.is_empty());
+            assert_eq!(std::fs::metadata(&path).expect("exists").len(), fresh_len);
+        }
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn unrestorable_and_duplicate_cells_are_dropped() {
+        let path = temp_path("filter");
+        let spec = two_cell_spec(1);
+        let (log, _) = open_log(&path, &spec).expect("opens");
+        let mut short = cell(0);
+        short.trials.pop();
+        let mut out_of_range = cell(1);
+        out_of_range.cell = 2;
+        for record in [&short, &out_of_range, &cell(1), &cell(1), &cell(0)] {
+            log.append(&cell_to_json(record)).expect("appends");
+        }
+        log.append(&Json::Str("not a cell".into()))
+            .expect("appends");
+        drop(log);
+        let (_, restored) = open_log(&path, &spec).expect("reopens");
+        let indices: Vec<usize> = restored.iter().map(|c| c.cell).collect();
+        assert_eq!(indices, vec![1, 0]);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -22,15 +22,13 @@
 //! scheduled by adaptive refinement are pushed round-robin across shards
 //! so late-campaign work stays balanced.
 
-use crate::checkpoint;
-use crate::spec::{CampaignSpec, CellSpec};
+use crate::spec::{CampaignSpec, CellSpec, TrialBudget};
 use crate::stats::CellStats;
 use sfi_core::experiment::{derive_trial_seed, golden_cycles, watchdog_cycles, TrialContext};
 use sfi_core::{CaseStudy, ExperimentSummary, TrialResult};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -76,7 +74,7 @@ pub struct EngineMetrics {
     pub worker_threads_used: usize,
     /// Maximum number of trials observed simultaneously in flight.
     pub max_concurrent_trials: usize,
-    /// Trials actually simulated (excludes checkpointed cells).
+    /// Trials actually simulated (excludes seeded cells).
     pub executed_trials: usize,
 }
 
@@ -130,7 +128,6 @@ impl CampaignResult {
 #[derive(Clone)]
 pub struct CampaignEngine {
     threads: usize,
-    checkpoint_path: Option<PathBuf>,
     progress: Option<ProgressHook>,
     cancel: Option<Arc<AtomicBool>>,
     seed_cells: Vec<CellResult>,
@@ -141,7 +138,6 @@ impl std::fmt::Debug for CampaignEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignEngine")
             .field("threads", &self.threads)
-            .field("checkpoint_path", &self.checkpoint_path)
             .field("progress", &self.progress.as_ref().map(|_| "<hook>"))
             .field("cancel", &self.cancel)
             .field("seed_cells", &self.seed_cells.len())
@@ -164,7 +160,6 @@ impl CampaignEngine {
             .unwrap_or(1);
         CampaignEngine {
             threads,
-            checkpoint_path: None,
             progress: None,
             cancel: None,
             seed_cells: Vec::new(),
@@ -176,7 +171,6 @@ impl CampaignEngine {
     pub fn sequential() -> Self {
         CampaignEngine {
             threads: 1,
-            checkpoint_path: None,
             progress: None,
             cancel: None,
             seed_cells: Vec::new(),
@@ -195,19 +189,12 @@ impl CampaignEngine {
         self
     }
 
-    /// Enables checkpointing: completed cells are streamed to `path`
-    /// (atomically, via a temp file) and restored by later runs of the
-    /// same spec, making long campaigns resumable.
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Installs a per-cell completion callback, the streaming hook the
-    /// serve daemon uses: it fires once for every cell restored from a
-    /// checkpoint (before any simulation starts, in cell order) and once
-    /// for every cell that finishes simulating (in completion order, from
-    /// whichever worker thread finished it).
+    /// Installs a per-cell completion callback, the streaming and
+    /// checkpointing hook: it fires once for every seeded cell (before any
+    /// simulation starts, in cell order, marked
+    /// [`CellResult::from_checkpoint`]) and once for every cell that
+    /// finishes simulating (in completion order, from whichever worker
+    /// thread finished it).
     pub fn with_progress(mut self, hook: ProgressHook) -> Self {
         self.progress = Some(hook);
         self
@@ -218,36 +205,34 @@ impl CampaignEngine {
     /// returns early with [`CampaignResult::cancelled`] set.  Cells that
     /// had not finished keep the contiguous prefix of trials that did
     /// complete (possibly none); partially completed cells are *not*
-    /// checkpointed.
+    /// reported to the progress hook.
     ///
-    /// Cancellation composes with checkpointing: every *completed* cell
-    /// was already flushed to the checkpoint file the moment it finished,
-    /// so a cancelled run has lost nothing but its in-flight cells and a
-    /// later run of the same spec resumes from the last completed cell.
-    /// [`CampaignEngine::with_seed_cells`] offers the same resume path
-    /// without a file, which is how the serve scheduler restarts
-    /// preempted jobs.
+    /// Cancellation composes with resuming: every *completed* cell already
+    /// reached the progress hook the moment it finished, so a cancelled run
+    /// has lost nothing but its in-flight cells, and feeding the completed
+    /// ones back through [`CampaignEngine::with_seed_cells`] resumes from
+    /// there — how the serve scheduler restarts preempted jobs.
     pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel = Some(flag);
         self
     }
 
-    /// Seeds the run with already-completed cells, as if they had been
-    /// restored from a checkpoint file.
+    /// Seeds the run with already-completed cells: the engine's one
+    /// resume path.
     ///
-    /// This is the in-memory resume path for a cancelled (e.g. preempted)
-    /// run: feed the completed cells of the earlier attempt back in and
-    /// only the unfinished cells are simulated.  Because per-trial seeds
-    /// are a pure function of `(campaign seed, cell index, trial index)`,
-    /// the completed campaign is bit-identical to one that was never
+    /// Feed in the completed cells of an earlier attempt — a cancelled
+    /// (e.g. preempted) run, a replayed serve journal, or a checkpoint
+    /// log opened with [`crate::checkpoint::open_log`] — and only the
+    /// remaining cells are simulated.  Because per-trial seeds are a pure
+    /// function of `(campaign seed, cell index, trial index)`, the
+    /// completed campaign is bit-identical to one that was never
     /// interrupted.
     ///
-    /// Seeded cells are validated like checkpoint-loaded ones: a cell
-    /// whose index is out of range, that has no trials, or that exceeds
-    /// its budget's `max_trials` is ignored rather than trusted.  Seeds
-    /// take precedence over cells restored from a checkpoint file, and
-    /// they fire the progress hook marked
-    /// [`CellResult::from_checkpoint`] just like file-restored cells.
+    /// A seeded cell is used only if its index is in range and the engine
+    /// could have produced it under the cell's budget (see
+    /// `restorable`); any other cell is ignored and simulated afresh.  For
+    /// a repeated index the first seed wins.  Seeded cells fire the
+    /// progress hook marked [`CellResult::from_checkpoint`].
     pub fn with_seed_cells(mut self, cells: Vec<CellResult>) -> Self {
         self.seed_cells = cells;
         self
@@ -266,13 +251,8 @@ impl CampaignEngine {
         self.threads
     }
 
-    /// Runs the campaign.
-    ///
-    /// If a checkpoint path is configured, cells recorded there (for this
-    /// exact spec fingerprint) are restored instead of re-simulated, and
-    /// every newly completed cell is persisted.  I/O errors while writing
-    /// checkpoints are deliberately non-fatal: losing a checkpoint must
-    /// not kill a multi-hour campaign.
+    /// Runs the campaign: seeded cells are restored, every other cell is
+    /// simulated.
     ///
     /// # Panics
     ///
@@ -287,26 +267,21 @@ impl CampaignEngine {
         if let Some(job) = self.trace_job {
             campaign_span = campaign_span.job(job);
         }
-        let mut restored: Vec<Option<CellResult>> = match &self.checkpoint_path {
-            Some(path) => checkpoint::load_cells(path, spec, fingerprint),
-            None => vec![None; spec.cells().len()],
-        };
-        // Overlay the in-memory seeds (see `with_seed_cells`); they win
-        // over file-restored cells because the caller vouches they belong
-        // to this exact spec and seed.
+        let mut restored: Vec<Option<CellResult>> = vec![None; spec.cells().len()];
         for cell in &self.seed_cells {
-            if let Some(slot) = restored.get_mut(cell.cell) {
-                let budget = spec.cells()[cell.cell].budget;
-                if !cell.trials.is_empty() && cell.trials.len() <= budget.max_trials {
-                    let mut seeded = cell.clone();
-                    seeded.from_checkpoint = true;
-                    *slot = Some(seeded);
-                }
+            let fits = spec
+                .cells()
+                .get(cell.cell)
+                .is_some_and(|c| restorable(cell, &c.budget));
+            if fits && restored[cell.cell].is_none() {
+                let mut seeded = cell.clone();
+                seeded.from_checkpoint = true;
+                restored[cell.cell] = Some(seeded);
             }
         }
 
-        // Checkpoint-restored cells are announced up front, so a streaming
-        // observer sees every cell of the campaign exactly once.
+        // Seeded cells are announced up front, so a streaming observer
+        // sees every cell of the campaign exactly once.
         if let Some(hook) = &self.progress {
             for cell in restored.iter().flatten() {
                 hook(cell);
@@ -324,20 +299,6 @@ impl CampaignEngine {
             .map(|b| watchdog_cycles(golden_cycles(b.as_ref())))
             .collect();
 
-        let checkpoint_sink = self.checkpoint_path.as_deref().map(|path| {
-            // Seed the serialized-cell cache with the restored cells, so
-            // the first incremental write already contains them.
-            let cells: BTreeMap<usize, String> = restored
-                .iter()
-                .flatten()
-                .map(|cell| (cell.cell, checkpoint::cell_json_string(cell)))
-                .collect();
-            CheckpointSink {
-                path,
-                fingerprint,
-                cells: Mutex::new(cells),
-            }
-        });
         let shared = Shared::new(
             study,
             spec,
@@ -353,8 +314,7 @@ impl CampaignEngine {
             thread::scope(|scope| {
                 for worker in 0..self.threads {
                     let shared = &shared;
-                    let sink = checkpoint_sink.as_ref();
-                    scope.spawn(move || worker_loop(worker, shared, sink));
+                    scope.spawn(move || worker_loop(worker, shared));
                 }
             });
         }
@@ -406,21 +366,24 @@ impl CampaignEngine {
             cancelled,
         }
     }
+}
 
-    /// Runs the campaign with checkpointing at `path` (convenience for
-    /// [`CampaignEngine::with_checkpoint`] + [`CampaignEngine::run`]).
-    ///
-    /// Checkpoint I/O errors are non-fatal (reported on stderr): a lost
-    /// checkpoint must not kill a multi-hour campaign, so there is no
-    /// `Result` here.
-    pub fn run_resumable(
-        &self,
-        study: &CaseStudy,
-        spec: &CampaignSpec,
-        path: impl Into<PathBuf>,
-    ) -> CampaignResult {
-        self.clone().with_checkpoint(path).run(study, spec)
+/// Whether the engine could have produced `cell` under `budget`, the one
+/// check every restored cell passes.
+///
+/// A cell runs `min(min_trials, max_trials)` trials first, then grows by
+/// `batch` until its stop rule holds or it reaches `max_trials`; it
+/// stopped early exactly when it ended below `max_trials`, and without a
+/// stop rule it always runs `max_trials`.  Anything else — a truncated or
+/// hand-edited record, a seed for another budget — is not trusted.
+pub(crate) fn restorable(cell: &CellResult, budget: &TrialBudget) -> bool {
+    let len = cell.trials.len();
+    let max = budget.max_trials;
+    let initial = budget.min_trials.min(max);
+    if len < initial || len > max || cell.stopped_early != (len < max) {
+        return false;
     }
+    len == max || (budget.stop.is_some() && (len - initial).is_multiple_of(budget.batch))
 }
 
 /// One (cell, trial) work unit.
@@ -470,17 +433,6 @@ impl CellState {
             from_checkpoint: self.from_checkpoint,
         }
     }
-}
-
-struct CheckpointSink<'a> {
-    path: &'a Path,
-    fingerprint: u64,
-    /// Serialized JSON of every completed cell, keyed by cell index.  A
-    /// finishing worker serializes only its own cell and re-renders the
-    /// document from this cache, so checkpointing costs O(cell) encoding
-    /// plus one file write — not a re-walk of all completed cells.  The
-    /// mutex also serializes the writes themselves.
-    cells: Mutex<BTreeMap<usize, String>>,
 }
 
 struct Shared<'a> {
@@ -641,7 +593,7 @@ impl<'a> Shared<'a> {
     }
 }
 
-fn worker_loop(worker: usize, shared: &Shared<'_>, sink: Option<&CheckpointSink<'_>>) {
+fn worker_loop(worker: usize, shared: &Shared<'_>) {
     // Per-worker scratch: the simulated core is recycled per benchmark and
     // the injector per (model, operating point), so steady-state trial
     // execution allocates nothing.  Trials stay bit-identical — a recycled
@@ -668,7 +620,7 @@ fn worker_loop(worker: usize, shared: &Shared<'_>, sink: Option<&CheckpointSink<
                 // not leave the other workers waiting forever for the
                 // panicked cell to finish.
                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                    execute_job(worker, shared, sink, &mut context, job)
+                    execute_job(worker, shared, &mut context, job)
                 }));
                 busy_us += sfi_obs::clock::now_micros().saturating_sub(pop_end);
                 if let Err(payload) = outcome {
@@ -709,13 +661,7 @@ fn worker_loop(worker: usize, shared: &Shared<'_>, sink: Option<&CheckpointSink<
     sfi_obs::span::flush_thread();
 }
 
-fn execute_job(
-    worker: usize,
-    shared: &Shared<'_>,
-    sink: Option<&CheckpointSink<'_>>,
-    context: &mut TrialContext,
-    job: Job,
-) {
+fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, job: Job) {
     let cell_index = job.cell as usize;
     let cell_spec = shared.spec.cells()[cell_index];
     let benchmark = shared.spec.benchmarks()[cell_spec.benchmark].as_ref();
@@ -756,7 +702,7 @@ fn execute_job(
     shared.executed_trials.fetch_add(1, Ordering::SeqCst);
 
     let mut finished_cell = false;
-    let mut checkpoint_snapshot: Option<CellResult> = None;
+    let mut snapshot: Option<CellResult> = None;
     // `(started_us, trials, stopped_early)` of the finishing cell, for
     // the cell span emitted outside the lock.
     let mut cell_span: Option<(u64, usize, bool)> = None;
@@ -785,8 +731,8 @@ fn execute_job(
                         let saved = cell_spec.budget.max_trials - state.completed;
                         sfi_obs::metrics().engine_trials_saved.add(saved as u64);
                     }
-                    if sink.is_some() || shared.progress.is_some() {
-                        checkpoint_snapshot = Some(snapshot_cell(cell_index, &state));
+                    if shared.progress.is_some() {
+                        snapshot = Some(snapshot_cell(cell_index, &state));
                     }
                 }
                 BatchDecision::Continue { additional } => {
@@ -828,14 +774,11 @@ fn execute_job(
             // thread buffer so wire-fetched traces stay current.
             sfi_obs::span::flush_thread();
         }
-        if let (Some(sink), Some(snapshot)) = (sink, &checkpoint_snapshot) {
-            write_checkpoint(shared, sink, snapshot);
-        }
-        if let (Some(hook), Some(snapshot)) = (&shared.progress, &checkpoint_snapshot) {
+        if let (Some(hook), Some(snapshot)) = (&shared.progress, &snapshot) {
             hook(snapshot);
         }
         // Last: a worker seeing zero open cells must be able to trust that
-        // all results (and the checkpoint) are in place.
+        // all results are in place and reported.
         shared.open_cells.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -893,17 +836,87 @@ fn snapshot_cell(index: usize, state: &CellState) -> CellResult {
     }
 }
 
-fn write_checkpoint(shared: &Shared<'_>, sink: &CheckpointSink<'_>, cell: &CellResult) {
-    // Serialize only the newly finished cell; the document is re-rendered
-    // from the cached per-cell JSON strings. No cell locks are held here.
-    let encoded = checkpoint::cell_json_string(cell);
-    let mut cells = sink.cells.lock().expect("checkpoint lock");
-    cells.insert(cell.cell, encoded);
-    let text = checkpoint::document_text(shared.spec, sink.fingerprint, cells.values());
-    if let Err(err) = checkpoint::store_text(sink.path, &text) {
-        // Non-fatal: a lost checkpoint must not kill the campaign.
-        eprintln!("warning: failed to write campaign checkpoint: {err}");
-    } else {
-        sfi_obs::metrics().engine_checkpoint_writes.inc();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::StopRule;
+
+    fn cell(len: usize, stopped_early: bool) -> CellResult {
+        let trials = vec![
+            TrialResult {
+                finished: true,
+                correct: true,
+                output_error: 0.0,
+                fi_rate_per_kcycle: 0.0,
+                cycles: 10,
+            };
+            len
+        ];
+        CellResult {
+            cell: 0,
+            stats: CellStats::from_trials(&trials),
+            trials,
+            stopped_early,
+            from_checkpoint: true,
+        }
+    }
+
+    fn adaptive(min: usize, max: usize, batch: usize) -> TrialBudget {
+        TrialBudget::adaptive(min, max, batch, StopRule::correct_within(0.1))
+    }
+
+    #[test]
+    fn cells_the_engine_can_produce_are_restorable() {
+        assert!(restorable(&cell(4, false), &TrialBudget::fixed(4)));
+        let budget = adaptive(4, 10, 4);
+        assert!(restorable(&cell(4, true), &budget));
+        assert!(restorable(&cell(8, true), &budget));
+        // The last batch is cut to the budget.
+        assert!(restorable(&cell(10, false), &budget));
+        // min_trials above max_trials starts at max_trials.
+        let capped = TrialBudget {
+            min_trials: 12,
+            ..budget
+        };
+        assert!(restorable(&cell(10, false), &capped));
+    }
+
+    #[test]
+    fn fewer_trials_than_the_initial_batch_are_rejected() {
+        assert!(!restorable(&cell(1, true), &adaptive(100, 200, 10)));
+        assert!(!restorable(&cell(0, true), &adaptive(1, 4, 1)));
+    }
+
+    #[test]
+    fn more_trials_than_the_budget_are_rejected() {
+        assert!(!restorable(&cell(5, false), &TrialBudget::fixed(4)));
+        assert!(!restorable(&cell(12, false), &adaptive(4, 10, 4)));
+    }
+
+    #[test]
+    fn an_early_stop_at_the_full_budget_is_rejected() {
+        assert!(!restorable(&cell(10, true), &adaptive(4, 10, 4)));
+        assert!(!restorable(&cell(4, true), &TrialBudget::fixed(4)));
+    }
+
+    #[test]
+    fn a_short_cell_that_did_not_stop_early_is_rejected() {
+        assert!(!restorable(&cell(8, false), &adaptive(4, 10, 4)));
+    }
+
+    #[test]
+    fn a_short_cell_without_a_stop_rule_is_rejected() {
+        let budget = TrialBudget {
+            min_trials: 2,
+            max_trials: 8,
+            batch: 2,
+            stop: None,
+        };
+        assert!(!restorable(&cell(4, true), &budget));
+    }
+
+    #[test]
+    fn a_cell_off_the_batch_schedule_is_rejected() {
+        assert!(!restorable(&cell(6, true), &adaptive(4, 20, 4)));
     }
 }

@@ -23,10 +23,12 @@
 //! * [`poff`] — adaptive point-of-first-failure search by bisection on
 //!   the failure transition, typically 3–5× fewer cells than the fixed
 //!   `frequency_grid` sweep at equal resolution.
-//! * [`checkpoint`] — JSON checkpoints written atomically after every
-//!   completed cell; re-running the same spec resumes instead of
-//!   recomputing, and the same format serves as the result export the
-//!   figure binaries consume.
+//! * [`checkpoint`] — the cell codec, the result document, and
+//!   checkpoints: a [`journal`] log of one record per completed cell that
+//!   seeds a re-run of the same spec instead of recomputing.
+//! * [`journal`] — the CRC-framed, fsync'd append log with torn-tail
+//!   replay: the one on-disk record store, shared by checkpoints and the
+//!   serve daemon's job journal.
 //!
 //! # Quickstart
 //!
@@ -60,6 +62,7 @@
 
 pub mod checkpoint;
 pub mod engine;
+pub mod journal;
 pub mod poff;
 pub mod spec;
 pub mod stats;

@@ -368,9 +368,9 @@ mod tests {
         assert_eq!(spec.cells()[2].point.noise().sigma_mv(), 10.0);
     }
 
-    /// The fingerprint names serve checkpoints (`job-{fp}.json`) on
-    /// disk, so it must not move: a changed value orphans every
-    /// resumable job.
+    /// The fingerprint names serve checkpoint logs (`job-{fp}.log`) on
+    /// disk and heads every checkpoint log, so it must not move: a
+    /// changed value orphans every resumable job.
     #[test]
     fn fingerprint_is_pinned() {
         let mut spec = spec_with_cells();

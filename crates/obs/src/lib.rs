@@ -13,8 +13,9 @@
 //!   family, built once ([`metrics`]), sampled without locks
 //!   ([`Metrics::snapshot`]).  Families cover the three layers that
 //!   matter: the ISS (trials, cycles, per-model injected faults, watchdog
-//!   trips), the campaign engine (steals, cells, adaptive-stop savings,
-//!   checkpoints) and the serve scheduler (queue depths, quotas,
+//!   trips), the campaign engine (steals, cells, adaptive-stop savings),
+//!   the append logs (journal and checkpoint records) and the serve
+//!   scheduler (queue depths, quotas,
 //!   preemptions, evictions, cache hits, wait/run latencies).
 //! * [`event`] — a bounded ring ([`events`]) of structured [`Event`]s with
 //!   monotonic timestamps and per-job/per-cell span ids, for post-mortem

@@ -42,8 +42,6 @@ pub struct Metrics {
     pub engine_cells_finished: Counter,
     /// Trials the adaptive stopping rule avoided (budgeted minus run).
     pub engine_trials_saved: Counter,
-    /// Checkpoint documents written.
-    pub engine_checkpoint_writes: Counter,
     /// Microseconds campaign workers spent executing trials.
     pub engine_worker_busy_us: ShardedCounter,
     /// Microseconds campaign workers spent asleep with nothing to do.
@@ -77,9 +75,10 @@ pub struct Metrics {
     pub job_run_seconds: Histogram,
 
     // — serve durability and connection robustness —
-    /// Records appended (and fsync'd) to the durable job journal.
+    /// Records appended (and fsync'd) to an append log: the durable job
+    /// journal or a campaign checkpoint.
     pub journal_appends: Counter,
-    /// Journal records replayed during restart recovery.
+    /// Log records replayed: journal recovery and checkpoint resumes.
     pub journal_replayed: Counter,
     /// Jobs restored from the journal at daemon restart.
     pub recovered_jobs: Counter,
@@ -102,7 +101,6 @@ impl Metrics {
             engine_steals: ShardedCounter::new(),
             engine_cells_finished: Counter::new(),
             engine_trials_saved: Counter::new(),
-            engine_checkpoint_writes: Counter::new(),
             engine_worker_busy_us: ShardedCounter::new(),
             engine_worker_idle_us: ShardedCounter::new(),
             engine_worker_steal_us: ShardedCounter::new(),
@@ -206,11 +204,6 @@ impl Metrics {
                 self.engine_trials_saved.get(),
             ),
             counter(
-                "sfi_engine_checkpoint_writes_total",
-                "Campaign checkpoint documents written",
-                self.engine_checkpoint_writes.get(),
-            ),
-            counter(
                 "sfi_engine_worker_busy_micros_total",
                 "Microseconds campaign workers spent executing trials",
                 self.engine_worker_busy_us.get(),
@@ -300,12 +293,12 @@ impl Metrics {
             ),
             counter(
                 "sfi_journal_appends_total",
-                "Records appended to the durable job journal",
+                "Records appended to the job journal and checkpoint logs",
                 self.journal_appends.get(),
             ),
             counter(
                 "sfi_journal_replayed_records_total",
-                "Journal records replayed during restart recovery",
+                "Log records replayed by journal recovery and checkpoint resumes",
                 self.journal_replayed.get(),
             ),
             counter(

@@ -226,8 +226,8 @@ impl Client {
         }
     }
 
-    /// Fetches a finished job's full result document (the campaign
-    /// checkpoint format).
+    /// Fetches a finished job's full result document (the one
+    /// `CampaignResult::to_json` exports).
     pub fn result(&mut self, job: u64) -> Result<Json, ClientError> {
         self.send(&Request::Result(job))?;
         match self.receive()? {

@@ -42,6 +42,7 @@
 //! result reports `result_evicted` (the job's final status survives
 //! eviction, only the data is dropped).
 
+use sfi_campaign::journal::Journal;
 use sfi_campaign::{checkpoint, CampaignEngine, CampaignSpec, CellResult};
 use sfi_core::json::Json;
 use sfi_core::CaseStudy;
@@ -194,7 +195,7 @@ struct JobEntry {
     priority: Priority,
     client: String,
     total_cells: usize,
-    /// Streamed per-cell documents (checkpoint cell format), completion
+    /// Streamed per-cell documents (campaign cell codec), completion
     /// order.  Doubles as the preemption checkpoint: on resume these are
     /// decoded and seeded back into the engine.
     cells: Vec<Json>,
@@ -380,7 +381,7 @@ pub struct JobTable {
     inner: Mutex<Inner>,
     limits: TableLimits,
     /// The durable job journal, when the daemon runs with `--state-dir`.
-    journal: Option<Arc<crate::journal::Journal>>,
+    journal: Option<Arc<Journal>>,
     /// Wakes the scheduler when a job is queued, a slot frees up or the
     /// daemon stops.
     scheduler_wake: Condvar,
@@ -454,13 +455,13 @@ impl JobTable {
     /// Attaches the durable job journal: every submit/start/cell/
     /// preempt/done/evict transition is appended (and fsync'd) from now
     /// on.
-    pub fn with_journal(mut self, journal: Arc<crate::journal::Journal>) -> Self {
+    pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
         self
     }
 
     /// The attached journal, if the daemon runs with `--state-dir`.
-    pub fn journal(&self) -> Option<&crate::journal::Journal> {
+    pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_deref()
     }
 
@@ -879,8 +880,9 @@ pub struct SchedulerConfig {
     /// Maximum number of jobs running at once; each gets an equal share
     /// of the thread budget (at least one thread).
     pub max_concurrent_jobs: usize,
-    /// Directory for per-job campaign checkpoints; identical re-submitted
-    /// campaigns resume instead of recomputing.
+    /// Directory for per-job campaign checkpoint logs
+    /// (`job-<fingerprint>.log`); identical re-submitted campaigns resume
+    /// instead of recomputing.
     pub checkpoint_dir: Option<PathBuf>,
 }
 
@@ -1105,17 +1107,31 @@ fn run_job(
     id: u64,
     spec: CampaignSpec,
     cancel: Arc<AtomicBool>,
-    seeds: Vec<CellResult>,
+    mut seeds: Vec<CellResult>,
 ) {
-    let mut engine = CampaignEngine::new()
+    // The per-job checkpoint log adds its cells under the journal seeds
+    // (the engine keeps the first seed of each cell).
+    let log = config.checkpoint_dir.as_ref().and_then(|dir| {
+        let path = dir.join(format!("job-{:016x}.log", spec.fingerprint()));
+        match checkpoint::open_log(&path, &spec) {
+            Ok((log, cells)) => {
+                seeds.extend(cells);
+                Some(log)
+            }
+            Err(err) => {
+                eprintln!(
+                    "sfi-serve: warning: checkpoint {} unusable: {err}",
+                    path.display()
+                );
+                None
+            }
+        }
+    });
+    let engine = CampaignEngine::new()
         .with_threads(config.threads_per_job())
         .with_cancel(cancel)
         .with_seed_cells(seeds)
         .with_trace_job(id);
-    if let Some(dir) = &config.checkpoint_dir {
-        let _ = std::fs::create_dir_all(dir);
-        engine = engine.with_checkpoint(dir.join(format!("job-{:016x}.json", spec.fingerprint())));
-    }
     let hook_table = table.clone();
     let engine = engine.with_progress(Arc::new(move |cell: &CellResult| {
         let mut journal_doc = None;
@@ -1136,8 +1152,11 @@ fn run_job(
         }
         // The fsync happens outside the table lock: a slow disk must not
         // stall status/stream handlers.
-        if let (Some(journal), Some(doc)) = (hook_table.journal(), journal_doc) {
-            journal.append_best_effort(&crate::journal::cell_record(id, &doc));
+        if let (Some(journal), Some(doc)) = (hook_table.journal(), &journal_doc) {
+            journal.append_best_effort(&crate::journal::cell_record(id, doc));
+        }
+        if let (Some(log), false) = (&log, cell.from_checkpoint) {
+            log.append_best_effort(&journal_doc.unwrap_or_else(|| checkpoint::cell_to_json(cell)));
         }
     }));
 

@@ -14,8 +14,8 @@
 //! * [`protocol`] — the framing and message vocabulary: one JSON document
 //!   per line, typed [`protocol::Request`] and [`protocol::Response`]
 //!   frames (`submit` / `status` / `stream` / `poff` / `cancel` /
-//!   `shutdown`, streamed per-cell results in the campaign checkpoint
-//!   format, machine-readable error codes).  The frozen, versioned wire
+//!   `shutdown`, streamed per-cell results in the campaign cell codec,
+//!   machine-readable error codes).  The frozen, versioned wire
 //!   reference lives in `docs/PROTOCOL.md`; a doc-sync test keeps it and
 //!   these types in lockstep.
 //! * [`jobs`] — the in-daemon job table and multi-job scheduler:
@@ -24,8 +24,9 @@
 //!   [`sfi_campaign::CampaignEngine`]s, per-client queued/running
 //!   quotas, cooperative preemption with bit-identical resume, and LRU
 //!   eviction of retained results under a byte cap.
-//! * [`journal`] — the durable job journal behind `--state-dir`: an
-//!   append-only, fsync'd, CRC-framed log of every job transition.  A
+//! * [`journal`] — the durable job journal behind `--state-dir`: every
+//!   job transition as a record in the fsync'd, CRC-framed
+//!   [`sfi_campaign::journal`] log, the format checkpoints use too.  A
 //!   restarted daemon replays it (tolerating a torn tail), requeues
 //!   interrupted jobs with their completed cells as seeds, and — because
 //!   the engine is deterministic — produces results byte-identical to an

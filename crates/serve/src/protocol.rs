@@ -15,7 +15,7 @@
 //! | `submit`   | `spec`, `priority`?, `client`?       | `submitted` (job id, cell count)   |
 //! | `status`   | `job`                                | `status` (state, progress, class)  |
 //! | `stream`   | `job`                                | `cell`* then `end`                 |
-//! | `result`   | `job`                                | `result` (full checkpoint document)|
+//! | `result`   | `job`                                | `result` (full result document)    |
 //! | `poff`     | [`PoffRequest`] fields               | `poff` (bisection outcome)         |
 //! | `metrics`  | —                                    | `metrics` (full registry snapshot) |
 //! | `events`   | `limit`?, `job`?                     | `events` (recent structured events)|
@@ -29,10 +29,11 @@
 //! a doc-sync test round-trips every JSON example in that file through
 //! these types, so document and implementation cannot drift.
 //!
-//! Cell payloads use the campaign checkpoint cell format
-//! (`sfi_campaign::checkpoint::cell_to_json`), and the `result` document
-//! is byte-identical to a checkpoint of the same campaign — the formats
-//! were designed to be shared.
+//! Cell payloads use the campaign cell codec
+//! (`sfi_campaign::checkpoint::cell_to_json`, also the record format of
+//! checkpoint logs and the journal), and the `result` document is the one
+//! [`sfi_campaign::CampaignResult::to_json`] exports for the same
+//! campaign.
 
 use crate::jobs::{JobState, JobStatus, Priority};
 use crate::wire::{model_from_json, model_to_json, CampaignDef, WireError, MAX_CLIENT_ID_BYTES};
@@ -724,7 +725,7 @@ pub enum Response {
         job: u64,
         /// Stream position (0-based, completion order).
         index: usize,
-        /// The cell document (campaign checkpoint cell format).
+        /// The cell document (campaign cell codec).
         cell: Json,
     },
     /// Terminates a `stream`.
@@ -740,7 +741,7 @@ pub enum Response {
     ResultDoc {
         /// The fetched job.
         job: u64,
-        /// The full result document (campaign checkpoint format).
+        /// The full result document (`CampaignResult::to_json`).
         document: Json,
     },
     /// Reply to `poff`.

@@ -5,9 +5,9 @@
 //! and returns immediately; [`Server::join`] parks until a client sends
 //! `shutdown` (or [`Server::shutdown`] is called locally).  Shutdown is
 //! graceful: running jobs are cancelled at the next trial boundary, and
-//! because the engine checkpoints every completed cell as it finishes,
-//! all completed work is already flushed to disk by the time the process
-//! exits.
+//! because every completed cell is appended to the journal (and to its
+//! checkpoint log) as it finishes, all completed work is already on disk
+//! by the time the process exits.
 
 use crate::jobs::{self, JobTable, NextCell, ResultFetch, SchedulerConfig, TableLimits};
 use crate::metrics::{self, PrometheusListener};
@@ -16,6 +16,7 @@ use crate::protocol::{
     ServerInfo, PROTOCOL_VERSION,
 };
 use crate::wire::{BenchmarkDef, WireError};
+use sfi_campaign::journal::{replay_file, Journal};
 use sfi_campaign::{adaptive_poff, CampaignEngine, PoffSearch, TrialBudget};
 use sfi_core::json::Json;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -51,7 +52,7 @@ pub struct ServeConfig {
     /// Persistent characterization cache directory; restarts with the
     /// same study configuration skip the gate-level DTA rebuild.
     pub cache_dir: Option<PathBuf>,
-    /// Per-job campaign checkpoint directory.
+    /// Per-job campaign checkpoint log directory.
     pub checkpoint_dir: Option<PathBuf>,
     /// Durable-state directory: every job transition is journaled here
     /// (fsync'd), and a restarted daemon replays the journal to restore
@@ -238,10 +239,11 @@ impl Server {
         // fresh journal so the file does not grow across generations.
         let journal_state = match &config.state_dir {
             Some(state_dir) => {
-                let records = crate::journal::replay_file(state_dir)?;
+                let path = state_dir.join(crate::journal::JOURNAL_FILE);
+                let records = replay_file(&path)?;
                 let recovered = crate::journal::recover(&records);
                 let compacted = crate::journal::compaction_records(&recovered);
-                let journal = crate::journal::Journal::rewrite(state_dir, &compacted)?;
+                let journal = Journal::rewrite(&path, &compacted)?;
                 Some((Arc::new(journal), recovered))
             }
             None => None,

@@ -11,7 +11,7 @@
 //! Decoding is strict and total: malformed or out-of-range input yields a
 //! [`WireError`] instead of a panic, so a hostile frame cannot take the
 //! daemon down.  64-bit integers (seeds) are encoded as decimal strings,
-//! like the checkpoint format.
+//! like the result document.
 
 use sfi_campaign::{CampaignSpec, CellSpec, StopMetric, StopRule, TrialBudget};
 use sfi_core::json::Json;

@@ -4,6 +4,7 @@
 //! eviction), cancellation, malformed requests, warm
 //! characterization-cache restarts and graceful shutdown.
 
+use sfi_campaign::journal::{replay_file, Journal};
 use sfi_campaign::{checkpoint, CampaignEngine, CampaignResult, CampaignSpec};
 use sfi_core::json::Json;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -206,6 +207,64 @@ fn two_jobs_run_concurrently_with_bit_identical_results() {
     }
 
     server.shutdown();
+}
+
+#[test]
+fn checkpoint_dir_logs_cells_and_resubmissions_resume_from_them() {
+    let dir = temp_dir("checkpoint_dir");
+    let server = Server::start(ServeConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..ServeConfig::fast_for_tests()
+    })
+    .expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let def = two_cell_def(client.ping().expect("pong").sta_limit_mhz);
+    let (spec, direct) = direct_run(&def);
+    let first = client.submit(&def).expect("accepted");
+    assert_eq!(
+        client.wait(first.job).expect("terminal").state,
+        JobState::Done
+    );
+    let expected = direct.to_json(&spec).to_string();
+    assert_eq!(
+        client.result(first.job).expect("result").to_string(),
+        expected
+    );
+
+    // The job's log holds a header and both cells.  Doctor cell 1, so the
+    // resubmission shows whether it restored the cell or re-ran it.
+    let path = dir.join(format!("job-{:016x}.log", spec.fingerprint()));
+    let records = replay_file(&path).expect("the log replays");
+    assert_eq!(records.len(), 3);
+    let mut doctored = direct.cells[1].clone();
+    for trial in &mut doctored.trials {
+        trial.cycles += 1;
+    }
+    let rewritten = [
+        records[0].clone(),
+        checkpoint::cell_to_json(&direct.cells[0]),
+        checkpoint::cell_to_json(&doctored),
+    ];
+    drop(Journal::rewrite(&path, &rewritten).expect("rewrites"));
+
+    let second = client.submit(&def).expect("accepted");
+    assert_eq!(
+        client.wait(second.job).expect("terminal").state,
+        JobState::Done
+    );
+    let doc = client.result(second.job).expect("result");
+    // NaN output errors are `null` on the wire, so compare encodings.
+    let text = |docs: &[Json]| docs.iter().map(Json::to_string).collect::<Vec<_>>();
+    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells");
+    assert_eq!(text(cells), text(&rewritten[1..]), "cell 1 is restored");
+    assert_eq!(
+        text(&replay_file(&path).expect("the log replays")),
+        text(&rewritten),
+        "nothing new is logged"
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

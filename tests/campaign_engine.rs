@@ -3,7 +3,8 @@
 //! resume and the adaptive PoFF search.
 
 use sfi_campaign::{
-    adaptive_poff, CampaignEngine, CampaignSpec, CellSpec, PoffSearch, StopRule, TrialBudget,
+    adaptive_poff, checkpoint, CampaignEngine, CampaignResult, CampaignSpec, CellResult, CellSpec,
+    PoffSearch, StopRule, TrialBudget,
 };
 use sfi_core::experiment::{run_experiment, FaultModel};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -12,6 +13,8 @@ use sfi_fault::OperatingPoint;
 use sfi_kernels::median::MedianBenchmark;
 use sfi_kernels::Benchmark;
 use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn fast_study() -> CaseStudy {
@@ -29,6 +32,41 @@ fn trials_identical(a: &[sfi_core::TrialResult], b: &[sfi_core::TrialResult]) ->
                 && x.fi_rate_per_kcycle.to_bits() == y.fi_rate_per_kcycle.to_bits()
                 && x.cycles == y.cycles
         })
+}
+
+/// A checkpoint log path unique to the calling test thread.
+fn log_path(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "sfi_campaign_{tag}_{}_{:?}.log",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Runs `spec` with the checkpoint log at `path`, the way the figure
+/// binaries and the daemon's `--checkpoint-dir` do: the log's cells seed
+/// the engine and every simulated cell is appended as it finishes.
+/// `observe` sees every cell the progress hook reports.
+fn run_logged(
+    engine: CampaignEngine,
+    study: &CaseStudy,
+    spec: &CampaignSpec,
+    path: &Path,
+    observe: impl Fn(&CellResult) + Send + Sync + 'static,
+) -> CampaignResult {
+    let (log, cells) = checkpoint::open_log(path, spec).expect("the log opens");
+    engine
+        .with_seed_cells(cells)
+        .with_progress(Arc::new(move |cell: &CellResult| {
+            observe(cell);
+            if !cell.from_checkpoint {
+                log.append(&checkpoint::cell_to_json(cell))
+                    .expect("the log appends");
+            }
+        }))
+        .run(study, spec)
 }
 
 /// A campaign spanning the whole failure transition: correct, mixed and
@@ -231,21 +269,16 @@ fn adaptive_budget_stops_certain_cells_early() {
 fn checkpoint_resume_skips_completed_cells() {
     let study = fast_study();
     let spec = transition_spec(&study, 4);
-    let path = std::env::temp_dir().join(format!(
-        "sfi_campaign_ckpt_{}_{:?}.json",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    let path = log_path("ckpt");
 
-    let engine = CampaignEngine::new().with_threads(4).with_checkpoint(&path);
-    let first = engine.run(&study, &spec);
+    let engine = CampaignEngine::new().with_threads(4);
+    let first = run_logged(engine.clone(), &study, &spec, &path, |_| {});
     assert!(path.exists(), "the campaign must leave a checkpoint behind");
     assert!(first.metrics.executed_trials > 0);
     assert!(first.cells.iter().all(|c| !c.from_checkpoint));
 
     // Resuming the identical spec restores every cell without simulating.
-    let second = engine.run(&study, &spec);
+    let second = run_logged(engine, &study, &spec, &path, |_| {});
     assert_eq!(
         second.metrics.executed_trials, 0,
         "everything comes from the checkpoint"
@@ -260,10 +293,13 @@ fn checkpoint_resume_skips_completed_cells() {
     // A different spec (changed seed) ignores the stale checkpoint.
     let mut changed = transition_spec(&study, 4);
     changed.seed = 43;
-    let third = CampaignEngine::new()
-        .with_threads(2)
-        .with_checkpoint(&path)
-        .run(&study, &changed);
+    let third = run_logged(
+        CampaignEngine::new().with_threads(2),
+        &study,
+        &changed,
+        &path,
+        |_| {},
+    );
     assert!(
         third.metrics.executed_trials > 0,
         "fingerprint mismatch forces a fresh run"
@@ -301,44 +337,83 @@ fn checkpoint_export_is_valid_json() {
 }
 
 #[test]
-fn result_and_checkpoint_json_are_byte_identical_across_runs_and_threads() {
+fn result_json_is_byte_identical_across_threads_and_checkpoint_resumes() {
     // The zero-clone trial pipeline (Arc-shared characterizations,
     // table-driven model C, per-worker core/injector recycling) must not
-    // perturb campaign results: the same seed and spec produce
-    // byte-identical result and checkpoint JSON regardless of worker
-    // count or how workers interleave cells.
+    // perturb campaign results: the same seed and spec produce a
+    // byte-identical result document regardless of worker count, how
+    // workers interleave cells, or whether cells came from a checkpoint.
     let study = fast_study();
     let spec = transition_spec(&study, 4);
-    let tmp = std::env::temp_dir();
-    let id = format!("{}_{:?}", std::process::id(), std::thread::current().id());
+    let path = log_path("bitident");
 
-    let mut documents = Vec::new();
-    let mut checkpoints = Vec::new();
-    for threads in [1usize, 3] {
-        let ckpt = tmp.join(format!("sfi_bitident_ckpt_{id}_{threads}.json"));
-        let out = tmp.join(format!("sfi_bitident_result_{id}_{threads}.json"));
-        let _ = std::fs::remove_file(&ckpt);
-        let result = CampaignEngine::new()
-            .with_threads(threads)
-            .with_checkpoint(&ckpt)
-            .run(&study, &spec);
-        result.write_json(&spec, &out).expect("result export");
-        documents.push(std::fs::read(&out).expect("result file"));
-        checkpoints.push(std::fs::read(&ckpt).expect("checkpoint file"));
-        let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(&out);
-    }
+    let sequential = CampaignEngine::new().with_threads(1).run(&study, &spec);
+    let document = sequential.to_json(&spec).to_string();
+    let parallel = run_logged(
+        CampaignEngine::new().with_threads(3),
+        &study,
+        &spec,
+        &path,
+        |_| {},
+    );
     assert_eq!(
-        documents[0], documents[1],
+        parallel.to_json(&spec).to_string(),
+        document,
         "result JSON must be byte-identical across thread counts"
     );
+
+    // The 3-thread run's log (in completion order) restores exactly that
+    // run's cells.
+    let (_, mut restored) = checkpoint::open_log(&path, &spec).expect("the log opens");
+    restored.sort_by_key(|cell| cell.cell);
+    assert_eq!(restored.len(), parallel.cells.len());
+    for (a, b) in parallel.cells.iter().zip(&restored) {
+        assert_eq!(a.cell, b.cell);
+        assert!(trials_identical(&a.trials, &b.trials));
+        assert_eq!(a.stopped_early, b.stopped_early);
+    }
+
+    // Resuming from it, in full or from a log torn inside its last record,
+    // gives the 1-thread result document byte for byte.
+    let resumed = run_logged(CampaignEngine::new(), &study, &spec, &path, |_| {});
+    assert_eq!(resumed.metrics.executed_trials, 0);
+    assert_eq!(resumed.to_json(&spec).to_string(), document);
+    let len = std::fs::metadata(&path).expect("log exists").len();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("opens");
+    file.set_len(len - 3).expect("truncates");
+    drop(file);
+    let torn = run_logged(CampaignEngine::new(), &study, &spec, &path, |_| {});
+    assert!(torn.metrics.executed_trials > 0, "the torn cell re-runs");
+    assert_eq!(torn.to_json(&spec).to_string(), document);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn seeds_the_engine_cannot_produce_are_simulated_afresh() {
+    let study = fast_study();
+    let spec = transition_spec(&study, 4);
+    let fresh = CampaignEngine::new().with_threads(2).run(&study, &spec);
+
+    // Cell 0 (fixed budget of 4) seeded with one trial; cell 1 (adaptive)
+    // with its flag flipped; cell 2 with one trial too many.  The last
+    // cell is a valid seed and is kept.
+    let mut seeds = fresh.cells.clone();
+    seeds[0].trials.truncate(1);
+    seeds[1].stopped_early = !seeds[1].stopped_early;
+    let extra = seeds[2].trials[0];
+    seeds[2].trials.push(extra);
+    let resumed = CampaignEngine::new()
+        .with_threads(2)
+        .with_seed_cells(seeds)
+        .run(&study, &spec);
+    let from_seed: Vec<bool> = resumed.cells.iter().map(|c| c.from_checkpoint).collect();
+    assert_eq!(from_seed, vec![false, false, false, true]);
     assert_eq!(
-        checkpoints[0], checkpoints[1],
-        "checkpoint JSON must be byte-identical across thread counts"
-    );
-    assert_eq!(
-        documents[0], checkpoints[0],
-        "a completed campaign's export equals its final checkpoint"
+        resumed.to_json(&spec).to_string(),
+        fresh.to_json(&spec).to_string()
     );
 }
 
@@ -445,26 +520,24 @@ fn worker_panic_aborts_instead_of_hanging() {
 
 #[test]
 fn progress_hook_sees_every_cell_exactly_once() {
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     let study = fast_study();
     let spec = transition_spec(&study, 4);
-    let path = std::env::temp_dir().join(format!(
-        "sfi_campaign_hook_{}_{:?}.json",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    let path = log_path("hook");
 
     let seen: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = seen.clone();
-    let engine = CampaignEngine::new()
-        .with_threads(4)
-        .with_checkpoint(&path)
-        .with_progress(Arc::new(move |cell: &sfi_campaign::CellResult| {
-            sink.lock().unwrap().push(cell.cell);
-        }));
-    let first = engine.run(&study, &spec);
+    let run = || {
+        let sink = seen.clone();
+        run_logged(
+            CampaignEngine::new().with_threads(4),
+            &study,
+            &spec,
+            &path,
+            move |cell| sink.lock().unwrap().push(cell.cell),
+        )
+    };
+    let first = run();
     assert!(!first.cancelled);
     let mut order = std::mem::take(&mut *seen.lock().unwrap());
     order.sort_unstable();
@@ -472,7 +545,7 @@ fn progress_hook_sees_every_cell_exactly_once() {
 
     // On resume the restored cells are announced up front, again exactly
     // once each.
-    let second = engine.run(&study, &spec);
+    let second = run();
     assert_eq!(second.metrics.executed_trials, 0);
     let mut order = std::mem::take(&mut *seen.lock().unwrap());
     order.sort_unstable();
