@@ -48,6 +48,6 @@ fn main() {
     }
     println!();
     println!(
-        "Implementations: sfi_fault::{{FixedProbabilityModel, StaPeriodViolationModel, StaWithNoiseModel, StatisticalDtaModel}}"
+        "Implementations: sfi_fault::{{FixedProbabilityModel, StaWithNoiseModel (B at sigma 0, B+), StatisticalDtaModel}}"
     );
 }

@@ -3,10 +3,7 @@
 
 use crate::study::CaseStudy;
 use sfi_cpu::{Core, FaultInjector, NoFaultInjector, RunConfig, RunOutcome};
-use sfi_fault::{
-    FixedProbabilityModel, OperatingPoint, StaPeriodViolationModel, StaWithNoiseModel,
-    StatisticalDtaModel,
-};
+use sfi_fault::{FixedProbabilityModel, OperatingPoint, StaWithNoiseModel, StatisticalDtaModel};
 use sfi_kernels::Benchmark;
 use sfi_timing::VddDelayCurve;
 use std::sync::Arc;
@@ -211,12 +208,12 @@ pub fn golden_cycles(benchmark: &dyn Benchmark) -> u64 {
     run_one_trial(benchmark, &mut NoFaultInjector, u64::MAX / 4).cycles
 }
 
-/// A constructed injector of any fault model, cached between trials.
+/// A constructed injector of any fault model, cached between trials
+/// (model B is model B+ without noise, see [`CaseStudy::model_b`]).
 #[derive(Debug, Clone)]
 enum CachedInjector {
     None(NoFaultInjector),
     FixedProbability(FixedProbabilityModel),
-    StaPeriodViolation(StaPeriodViolationModel),
     StaWithNoise(StaWithNoiseModel),
     StatisticalDta(StatisticalDtaModel),
 }
@@ -228,9 +225,7 @@ impl CachedInjector {
             FaultModel::FixedProbability(p) => {
                 CachedInjector::FixedProbability(study.model_a(p, seed))
             }
-            FaultModel::StaPeriodViolation => {
-                CachedInjector::StaPeriodViolation(study.model_b(point))
-            }
+            FaultModel::StaPeriodViolation => CachedInjector::StaWithNoise(study.model_b(point)),
             FaultModel::StaWithNoise => {
                 CachedInjector::StaWithNoise(study.model_b_plus(point, seed))
             }
@@ -241,11 +236,11 @@ impl CachedInjector {
     }
 
     /// Rewinds the injector to the state `build` would have produced with
-    /// `seed`: models A, B+ and C reseed their RNG, the stateless models
-    /// have nothing to rewind.
+    /// `seed`: models A, B+ and C reseed their RNG (model B's RNG is never
+    /// drawn from), [`NoFaultInjector`] has nothing to rewind.
     fn reseed(&mut self, seed: u64) {
         match self {
-            CachedInjector::None(_) | CachedInjector::StaPeriodViolation(_) => {}
+            CachedInjector::None(_) => {}
             CachedInjector::FixedProbability(m) => m.reseed(seed),
             CachedInjector::StaWithNoise(m) => m.reseed(seed),
             CachedInjector::StatisticalDta(m) => m.reseed(seed),
@@ -256,7 +251,6 @@ impl CachedInjector {
         match self {
             CachedInjector::None(m) => m,
             CachedInjector::FixedProbability(m) => m,
-            CachedInjector::StaPeriodViolation(m) => m,
             CachedInjector::StaWithNoise(m) => m,
             CachedInjector::StatisticalDta(m) => m,
         }

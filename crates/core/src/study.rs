@@ -2,15 +2,14 @@
 //! per-voltage DTA characterizations.
 
 use sfi_fault::{
-    DtaFaultTable, FixedProbabilityModel, OperatingPoint, StaPeriodViolationModel,
-    StaWithNoiseModel, StatisticalDtaModel,
+    DtaFaultTable, FixedProbabilityModel, OperatingPoint, StaWithNoiseModel, StatisticalDtaModel,
 };
 use sfi_netlist::alu::AluDatapath;
 use sfi_netlist::{DelayModel, VoltageScaling};
 use sfi_timing::{
     calibrate_delay_model_with_multipliers, characterize_alu_with_multipliers,
     synthesis_node_multipliers, CharacterizationConfig, OperandDistribution, StaticTimingAnalysis,
-    TimingCharacterization, UnitBudgets, VddDelayCurve,
+    TimingCharacterization, UnitBudgets, VddDelayCurve, VoltageNoise,
 };
 use std::sync::Arc;
 
@@ -339,13 +338,11 @@ impl CaseStudy {
         FixedProbabilityModel::new(bit_flip_probability, self.endpoint_count(), seed)
     }
 
-    /// Creates a model B injector (STA period violation) for `point`.
-    ///
-    /// Allocation-free on the characterization: the STA endpoint delays
-    /// are `Arc`-shared with the study.
-    pub fn model_b(&self, point: OperatingPoint) -> StaPeriodViolationModel {
-        let data = self.voltage_data(point.vdd());
-        StaPeriodViolationModel::from_shared(Arc::clone(&data.sta_delays), data.vdd, point)
+    /// Creates a model B injector (STA period violation) for `point`:
+    /// model B+ with the point's supply noise switched off, which draws no
+    /// random numbers, so no seed is needed.
+    pub fn model_b(&self, point: OperatingPoint) -> StaWithNoiseModel {
+        self.model_b_plus(point.with_noise(VoltageNoise::none()), 0)
     }
 
     /// Creates a model B+ injector (STA + supply noise) for `point`.

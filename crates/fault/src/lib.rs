@@ -6,7 +6,7 @@
 //! | model | type | timing data | Vdd noise | gate-level aware | instruction aware |
 //! |-------|------|-------------|-----------|------------------|-------------------|
 //! | **A** ([`FixedProbabilityModel`]) | fixed probability | none | no | no | no |
-//! | **B** ([`StaPeriodViolationModel`]) | fixed period violation | STA | no | partially | no |
+//! | **B** ([`StaWithNoiseModel`] at σ = 0) | fixed period violation | STA | no | partially | no |
 //! | **B+** ([`StaWithNoiseModel`]) | modulated period violation | STA | yes | partially | no |
 //! | **C** ([`StatisticalDtaModel`]) | probabilistic period violation (CDFs) | DTA | yes | yes | yes |
 //!
@@ -46,7 +46,7 @@ pub mod table;
 
 pub use map::alu_op_for_class;
 pub use model_a::FixedProbabilityModel;
-pub use model_b::{StaPeriodViolationModel, StaWithNoiseModel};
+pub use model_b::StaWithNoiseModel;
 pub use model_c::StatisticalDtaModel;
 pub use operating_point::{OperatingPoint, WORST_FACTOR_GUARD_BAND};
 pub use table::{DtaFaultTable, EndpointClasses};

@@ -1,5 +1,12 @@
 //! Models B and B+: static-timing-based period-violation fault injection.
 //!
+//! Both models are one injector, [`StaWithNoiseModel`]: model B is model
+//! B+ at an operating point without supply noise.  At σ = 0 the noise
+//! sample is 0.0 and draws nothing, and the delay scaling factor is
+//! `delay_factor(vdd) / delay_factor(vdd)`, exactly 1.0, so every
+//! in-window cycle flips the endpoints whose STA delay exceeds the clock
+//! period — the paper's hard threshold (Fig. 1(a)).
+//!
 //! # Random-number consumption of model B+
 //!
 //! Model B+ draws nothing but its noise sample: two words per cycle, none
@@ -20,139 +27,20 @@ use sfi_cpu::{ExStageContext, FaultInjector};
 use sfi_timing::{TimingCharacterization, VddDelayCurve};
 use std::sync::Arc;
 
-/// Fixed period violation against STA worst-case delays (the paper's
-/// **model B**).
-///
-/// Whenever *any* ALU instruction occupies the execution stage and the
-/// clock period is shorter than the STA worst-case delay of an endpoint,
-/// that endpoint bit is flipped — deterministically, with no view of the
-/// instruction type or the data.  This is the pessimistic model whose
-/// "hard threshold" behaviour Fig. 1(a) illustrates.
-#[derive(Debug, Clone)]
-pub struct StaPeriodViolationModel {
-    endpoint_delays_ps: Arc<[f64]>,
-    period_ps: f64,
-    /// `violation_mask(1.0) == 0`, fixed at construction.
-    never_faults: bool,
-}
-
-impl StaPeriodViolationModel {
-    /// Creates the model from the STA data of a characterization at the
-    /// operating point's supply voltage.
-    ///
-    /// This copies the per-endpoint STA delays once; callers constructing
-    /// one injector per Monte-Carlo trial should extract the delays once
-    /// and use the allocation-free [`StaPeriodViolationModel::from_shared`]
-    /// instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the characterization was performed at a different supply
-    /// voltage than the operating point requests (the STA delays would not
-    /// correspond to the simulated conditions).
-    pub fn new(characterization: &TimingCharacterization, point: OperatingPoint) -> Self {
-        assert!(
-            (characterization.vdd() - point.vdd()).abs() < 1e-9,
-            "characterization voltage {} V does not match operating point {} V",
-            characterization.vdd(),
-            point.vdd()
-        );
-        let endpoint_delays_ps: Arc<[f64]> = (0..characterization.endpoint_count())
-            .map(|e| characterization.sta_endpoint_delay_ps(e))
-            .collect();
-        Self::with_period(endpoint_delays_ps, point.period_ps())
-    }
-
-    /// Creates the model from an already-shared STA delay vector — the
-    /// allocation-free per-trial constructor (the delays are typically
-    /// extracted once per characterized voltage and `Arc`-cloned per
-    /// trial).  `characterized_vdd` is the supply voltage the delays were
-    /// extracted at; it is checked against the operating point exactly
-    /// like [`StaPeriodViolationModel::new`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no delays are given or `characterized_vdd` does not
-    /// match the operating point.
-    pub fn from_shared(
-        endpoint_delays_ps: Arc<[f64]>,
-        characterized_vdd: f64,
-        point: OperatingPoint,
-    ) -> Self {
-        assert!(
-            (characterized_vdd - point.vdd()).abs() < 1e-9,
-            "characterization voltage {} V does not match operating point {} V",
-            characterized_vdd,
-            point.vdd()
-        );
-        assert!(
-            !endpoint_delays_ps.is_empty(),
-            "at least one endpoint is required"
-        );
-        Self::with_period(endpoint_delays_ps, point.period_ps())
-    }
-
-    /// Creates the model directly from per-endpoint STA delays (ps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no delays are given or the period is not positive.
-    pub fn from_delays(endpoint_delays_ps: Vec<f64>, period_ps: f64) -> Self {
-        assert!(
-            !endpoint_delays_ps.is_empty(),
-            "at least one endpoint is required"
-        );
-        assert!(period_ps > 0.0, "period must be positive, got {period_ps}");
-        Self::with_period(endpoint_delays_ps.into(), period_ps)
-    }
-
-    fn with_period(endpoint_delays_ps: Arc<[f64]>, period_ps: f64) -> Self {
-        let mut model = StaPeriodViolationModel {
-            endpoint_delays_ps,
-            period_ps,
-            never_faults: false,
-        };
-        // Model B injects exactly `violation_mask(1.0)` on every in-window
-        // cycle, so an empty mask is the whole proof.
-        model.never_faults = model.violation_mask(1.0) == 0;
-        model
-    }
-
-    fn violation_mask(&self, delay_factor: f64) -> u32 {
-        let mut mask = 0u32;
-        for (bit, &delay) in self.endpoint_delays_ps.iter().enumerate().take(32) {
-            if delay * delay_factor > self.period_ps {
-                mask |= 1 << bit;
-            }
-        }
-        mask
-    }
-}
-
-impl FaultInjector for StaPeriodViolationModel {
-    fn inject(&mut self, ctx: &ExStageContext) -> u32 {
-        if !ctx.fi_enabled {
-            return 0;
-        }
-        self.violation_mask(1.0)
-    }
-
-    fn never_faults(&self) -> bool {
-        self.never_faults
-    }
-}
-
-/// Model B extended with per-cycle supply-voltage noise (the paper's
-/// **model B+**).
+/// STA period violation modulated by per-cycle supply-voltage noise (the
+/// paper's **model B+**, and **model B** at σ = 0).
 ///
 /// Every cycle an independent noise sample modulates all path delays via
 /// the fitted Vdd–delay curve; endpoints whose modulated STA delay exceeds
-/// the clock period are flipped.  The model recovers a link to the
-/// randomness of the physical circuit but still treats all ALU
-/// instructions identically (Fig. 1(b)/(c)).
+/// the clock period are flipped, with no view of the instruction type or
+/// the data.  Without noise this is the pessimistic hard threshold of
+/// Fig. 1(a); with noise the model recovers a link to the randomness of
+/// the physical circuit but still treats all ALU instructions identically
+/// (Fig. 1(b)/(c)).
 #[derive(Debug, Clone)]
 pub struct StaWithNoiseModel {
-    sta: StaPeriodViolationModel,
+    endpoint_delays_ps: Arc<[f64]>,
+    period_ps: f64,
     point: OperatingPoint,
     curve: Arc<VddDelayCurve>,
     /// `curve.delay_factor(point.vdd())`, hoisted out of the per-cycle
@@ -171,17 +59,28 @@ impl StaWithNoiseModel {
     /// Creates the model from STA characterization data, an operating point
     /// and the fitted Vdd–delay curve.
     ///
+    /// This copies the per-endpoint STA delays once; callers constructing
+    /// one injector per Monte-Carlo trial should extract the delays once
+    /// and use the allocation-free [`StaWithNoiseModel::from_shared`]
+    /// instead.
+    ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`StaPeriodViolationModel::new`].
+    /// Panics if the characterization was performed at a different supply
+    /// voltage than the operating point requests (the STA delays would not
+    /// correspond to the simulated conditions).
     pub fn new(
         characterization: &TimingCharacterization,
         point: OperatingPoint,
         curve: impl Into<Arc<VddDelayCurve>>,
         seed: u64,
     ) -> Self {
-        Self::with_sta(
-            StaPeriodViolationModel::new(characterization, point),
+        let endpoint_delays_ps: Arc<[f64]> = (0..characterization.endpoint_count())
+            .map(|e| characterization.sta_endpoint_delay_ps(e))
+            .collect();
+        Self::from_shared(
+            endpoint_delays_ps,
+            characterization.vdd(),
             point,
             curve.into(),
             seed,
@@ -191,7 +90,8 @@ impl StaWithNoiseModel {
     /// Creates the model from already-shared STA delays and Vdd–delay
     /// curve — the allocation-free per-trial constructor.
     /// `characterized_vdd` is the supply voltage the delays were extracted
-    /// at.
+    /// at; it is checked against the operating point exactly like
+    /// [`StaWithNoiseModel::new`] does.
     ///
     /// # Panics
     ///
@@ -204,36 +104,45 @@ impl StaWithNoiseModel {
         curve: Arc<VddDelayCurve>,
         seed: u64,
     ) -> Self {
-        Self::with_sta(
-            StaPeriodViolationModel::from_shared(endpoint_delays_ps, characterized_vdd, point),
+        assert!(
+            (characterized_vdd - point.vdd()).abs() < 1e-9,
+            "characterization voltage {} V does not match operating point {} V",
+            characterized_vdd,
+            point.vdd()
+        );
+        assert!(
+            !endpoint_delays_ps.is_empty(),
+            "at least one endpoint is required"
+        );
+        let mut model = StaWithNoiseModel {
+            endpoint_delays_ps,
+            period_ps: point.period_ps(),
             point,
+            nominal_factor: curve.delay_factor(point.vdd()),
             curve,
-            seed,
-        )
-    }
-
-    fn with_sta(
-        sta: StaPeriodViolationModel,
-        point: OperatingPoint,
-        curve: Arc<VddDelayCurve>,
-        seed: u64,
-    ) -> Self {
-        let nominal_factor = curve.delay_factor(point.vdd());
+            never_faults: false,
+            constant_mask: None,
+            rng: SmallRng::seed_from_u64(seed),
+        };
         // Every per-cycle factor lies between the best and the worst
         // clipped factor and `delay * factor` rounds monotonically, so a
         // clean mask at the worst factor is clean on every cycle, and equal
         // masks at both ends hold on every cycle.
-        let worst_mask = sta.violation_mask(point.worst_delay_factor(&curve));
-        let best_mask = sta.violation_mask(point.best_delay_factor(&curve));
-        StaWithNoiseModel {
-            sta,
-            point,
-            curve,
-            nominal_factor,
-            never_faults: worst_mask == 0,
-            constant_mask: (best_mask == worst_mask).then_some(worst_mask),
-            rng: SmallRng::seed_from_u64(seed),
+        let worst_mask = model.violation_mask(point.worst_delay_factor(&model.curve));
+        let best_mask = model.violation_mask(point.best_delay_factor(&model.curve));
+        model.never_faults = worst_mask == 0;
+        model.constant_mask = (best_mask == worst_mask).then_some(worst_mask);
+        model
+    }
+
+    fn violation_mask(&self, delay_factor: f64) -> u32 {
+        let mut mask = 0u32;
+        for (bit, &delay) in self.endpoint_delays_ps.iter().enumerate().take(32) {
+            if delay * delay_factor > self.period_ps {
+                mask |= 1 << bit;
+            }
         }
+        mask
     }
 
     /// Reseeds the noise sequence (used to decorrelate Monte-Carlo trials).
@@ -266,7 +175,7 @@ impl FaultInjector for StaWithNoiseModel {
             noise,
             self.nominal_factor,
         );
-        self.sta.violation_mask(factor)
+        self.violation_mask(factor)
     }
 
     fn never_faults(&self) -> bool {
@@ -306,18 +215,32 @@ mod tests {
         }
     }
 
+    fn curve() -> Arc<VddDelayCurve> {
+        Arc::new(VddDelayCurve::from_scaling(
+            &VoltageScaling::default_28nm(),
+            0.6,
+            1.0,
+            5,
+        ))
+    }
+
+    /// Model B: model B+ at a noiseless operating point.
+    fn model_b(ch: &TimingCharacterization, freq_mhz: f64) -> StaWithNoiseModel {
+        StaWithNoiseModel::new(ch, OperatingPoint::new(freq_mhz, 0.7), curve(), 0)
+    }
+
     #[test]
     fn model_b_hard_threshold() {
         let ch = characterization();
         let sta_limit = ch.sta_limit_mhz();
         // Below the STA limit: never any fault.
-        let mut below =
-            StaPeriodViolationModel::new(&ch, OperatingPoint::new(sta_limit * 0.99, 0.7));
+        let mut below = model_b(&ch, sta_limit * 0.99);
+        assert!(below.never_faults());
         assert_eq!(below.inject(&ctx(true)), 0);
         // Just above the STA limit: the critical endpoint violates, for every
         // ALU instruction and every cycle.
-        let mut above =
-            StaPeriodViolationModel::new(&ch, OperatingPoint::new(sta_limit * 1.01, 0.7));
+        let mut above = model_b(&ch, sta_limit * 1.01);
+        assert!(!above.never_faults());
         let mask = above.inject(&ctx(true));
         assert_ne!(mask, 0);
         // Deterministic: the same mask every cycle.
@@ -333,11 +256,8 @@ mod tests {
         // violates; the mask must include the most significant bits first
         // as frequency rises.
         let sta_limit = ch.sta_limit_mhz();
-        let mut slightly =
-            StaPeriodViolationModel::new(&ch, OperatingPoint::new(sta_limit * 1.02, 0.7));
-        let mask_low = slightly.inject(&ctx(true));
-        let mut far = StaPeriodViolationModel::new(&ch, OperatingPoint::new(sta_limit * 2.0, 0.7));
-        let mask_high = far.inject(&ctx(true));
+        let mask_low = model_b(&ch, sta_limit * 1.02).inject(&ctx(true));
+        let mask_high = model_b(&ch, sta_limit * 2.0).inject(&ctx(true));
         assert!(mask_high.count_ones() >= mask_low.count_ones());
         assert_eq!(
             mask_low & mask_high,
@@ -347,22 +267,15 @@ mod tests {
     }
 
     #[test]
-    fn from_delays_constructor() {
-        let mut m = StaPeriodViolationModel::from_delays(vec![100.0, 300.0], 200.0);
-        assert_eq!(m.inject(&ctx(true)), 0b10);
-    }
-
-    #[test]
     fn model_b_plus_noise_lowers_first_failure_frequency() {
         let ch = characterization();
-        let curve = VddDelayCurve::from_scaling(&VoltageScaling::default_28nm(), 0.6, 1.0, 5);
         let sta_limit = ch.sta_limit_mhz();
         // Slightly below the STA limit: model B never injects, model B+ with
         // noise occasionally does (droop cycles).
         let point = OperatingPoint::new(sta_limit * 0.97, 0.7)
             .with_noise(VoltageNoise::with_sigma_mv(25.0));
-        let mut b = StaPeriodViolationModel::new(&ch, OperatingPoint::new(sta_limit * 0.97, 0.7));
-        let mut bp = StaWithNoiseModel::new(&ch, point, curve, 11);
+        let mut b = model_b(&ch, sta_limit * 0.97);
+        let mut bp = StaWithNoiseModel::new(&ch, point, curve(), 11);
         let mut b_faults = 0;
         let mut bp_faults = 0;
         for _ in 0..2000 {
@@ -384,11 +297,10 @@ mod tests {
     #[test]
     fn model_b_plus_reseed_reproduces() {
         let ch = characterization();
-        let curve = VddDelayCurve::from_scaling(&VoltageScaling::default_28nm(), 0.6, 1.0, 5);
         let point = OperatingPoint::new(ch.sta_limit_mhz() * 0.98, 0.7)
             .with_noise(VoltageNoise::with_sigma_mv(25.0));
-        let mut a = StaWithNoiseModel::new(&ch, point, curve.clone(), 5);
-        let mut b = StaWithNoiseModel::new(&ch, point, curve, 123);
+        let mut a = StaWithNoiseModel::new(&ch, point, curve(), 5);
+        let mut b = StaWithNoiseModel::new(&ch, point, curve(), 123);
         b.reseed(5);
         for _ in 0..200 {
             assert_eq!(a.inject(&ctx(true)), b.inject(&ctx(true)));
@@ -418,11 +330,7 @@ mod tests {
                     constant += 1;
                     for noise in noise_grid(point, &curve) {
                         let factor = curve.noise_scaling_factor_with_nominal(0.7, noise, nominal);
-                        assert_eq!(
-                            mask,
-                            model.sta.violation_mask(factor),
-                            "{point} noise {noise}"
-                        );
+                        assert_eq!(mask, model.violation_mask(factor), "{point} noise {noise}");
                     }
                 }
             }
@@ -437,25 +345,31 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn voltage_mismatch_panics() {
         let ch = characterization();
-        StaPeriodViolationModel::new(&ch, OperatingPoint::new(700.0, 0.8));
+        StaWithNoiseModel::new(&ch, OperatingPoint::new(700.0, 0.8), curve(), 0);
     }
 
     #[test]
     #[should_panic(expected = "does not match")]
     fn from_shared_checks_the_voltage_like_new() {
         let delays: Arc<[f64]> = vec![100.0, 200.0].into();
-        StaPeriodViolationModel::from_shared(delays, 0.6, OperatingPoint::new(700.0, 0.7));
+        StaWithNoiseModel::from_shared(delays, 0.6, OperatingPoint::new(700.0, 0.7), curve(), 0);
     }
 
     #[test]
     fn from_shared_matches_new() {
         let ch = characterization();
-        let point = OperatingPoint::new(ch.sta_limit_mhz() * 1.05, 0.7);
         let delays: Arc<[f64]> = (0..ch.endpoint_count())
             .map(|e| ch.sta_endpoint_delay_ps(e))
             .collect();
-        let mut a = StaPeriodViolationModel::new(&ch, point);
-        let mut b = StaPeriodViolationModel::from_shared(delays, ch.vdd(), point);
-        assert_eq!(a.inject(&ctx(true)), b.inject(&ctx(true)));
+        for sigma_mv in [0.0, 25.0] {
+            let point =
+                OperatingPoint::new(ch.sta_limit_mhz() * 1.05, 0.7).with_noise_sigma_mv(sigma_mv);
+            let mut a = StaWithNoiseModel::new(&ch, point, curve(), 3);
+            let mut b =
+                StaWithNoiseModel::from_shared(Arc::clone(&delays), ch.vdd(), point, curve(), 3);
+            for _ in 0..64 {
+                assert_eq!(a.inject(&ctx(true)), b.inject(&ctx(true)));
+            }
+        }
     }
 }

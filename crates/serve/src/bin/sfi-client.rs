@@ -83,6 +83,16 @@ fn parse_job(arg: Option<&String>) -> u64 {
         .unwrap_or_else(|| usage_fail("expected a numeric job id"))
 }
 
+/// The fault model a `--model` flag names (`b`, `b+` or `c`).
+fn parse_model(name: &str) -> FaultModel {
+    match name {
+        "b" => FaultModel::StaPeriodViolation,
+        "b+" => FaultModel::StaWithNoise,
+        "c" => FaultModel::StatisticalDta,
+        other => usage_fail(format!("unknown model '{other}'")),
+    }
+}
+
 fn builtin_kernel(name: &str) -> BenchmarkDef {
     match name {
         "median" => BenchmarkDef::Median {
@@ -351,12 +361,7 @@ fn run(
                     }
                     "--model" => {
                         asm_only("--model");
-                        params.model = match value(&mut i).as_str() {
-                            "b" => FaultModel::StaPeriodViolation,
-                            "b+" => FaultModel::StaWithNoise,
-                            "c" => FaultModel::StatisticalDta,
-                            other => usage_fail(format!("unknown model '{other}'")),
-                        };
+                        params.model = parse_model(&value(&mut i));
                     }
                     "--trials" => {
                         asm_only("--trials");
@@ -640,14 +645,7 @@ fn run(
                             .parse()
                             .unwrap_or_else(|_| usage_fail("--seed"))
                     }
-                    "--model" => {
-                        request.model = match value(&mut i).as_str() {
-                            "b" => FaultModel::StaPeriodViolation,
-                            "b+" => FaultModel::StaWithNoise,
-                            "c" => FaultModel::StatisticalDta,
-                            other => usage_fail(format!("unknown model '{other}'")),
-                        }
-                    }
+                    "--model" => request.model = parse_model(&value(&mut i)),
                     other => usage_fail(format!("unknown flag '{other}'")),
                 }
                 i += 1;

@@ -33,7 +33,7 @@ options:
                              restarted daemon replays it — queued jobs come back queued,
                              interrupted jobs resume from their completed cells with
                              bit-identical results
-  --drain-timeout S          seconds a 'drain' waits for running jobs before cancelling
+  --drain-timeout S          seconds a 'drain' waits for running jobs before stopping
                              them and exiting anyway (default 30)
   --conn-timeout S           per-connection read/write deadline in seconds; silent peers
                              are disconnected past it (default 300; 0 = no deadline)

@@ -209,7 +209,8 @@ struct JobEntry {
     /// Cooperative stop flag of the current (or next) run; replaced with
     /// a fresh flag when the job is requeued after a preemption.
     cancel: Arc<AtomicBool>,
-    /// The client (or daemon shutdown) asked for cancellation.
+    /// The client asked for cancellation.  A daemon stop also raises
+    /// `cancel` but not this flag, so the job stays live in the journal.
     user_cancelled: bool,
     /// The scheduler asked the running job to yield its slot.
     preempt_requested: bool,
@@ -610,8 +611,9 @@ impl JobTable {
     }
 
     /// Requests cancellation of job `id`.  Queued jobs are cancelled
-    /// immediately; running jobs stop at the next trial boundary.  Returns
-    /// `false` for unknown ids.
+    /// immediately, and journaled as such before this returns; running
+    /// jobs stop at the next trial boundary.  Returns `false` for unknown
+    /// ids.
     pub fn cancel(&self, id: u64) -> bool {
         let mut inner = self.lock();
         let Some(entry) = inner.jobs.get_mut(&id) else {
@@ -619,7 +621,8 @@ impl JobTable {
         };
         entry.user_cancelled = true;
         entry.cancel.store(true, Ordering::SeqCst);
-        if entry.state == JobState::Queued {
+        let was_queued = entry.state == JobState::Queued;
+        if was_queued {
             entry.state = JobState::Cancelled;
             entry.spec = CampaignSpec::new(String::new(), 0);
             for queue in &mut inner.queues {
@@ -629,11 +632,20 @@ impl JobTable {
             sfi_obs::events().push(Event::new("job_cancelled").job(id).field("state", "queued"));
         }
         self.update.notify_all();
+        drop(inner);
+        // A queued job never reaches `run_job`, which journals the end of
+        // every job it runs: without this record a restart requeues it.
+        if let (true, Some(journal)) = (was_queued, self.journal()) {
+            let record = crate::journal::done_record(id, JobState::Cancelled.as_str(), None);
+            journal.append_best_effort(&record);
+        }
         true
     }
 
     /// Initiates daemon shutdown: cancels everything and wakes the
-    /// scheduler so it can drain its runners and exit.
+    /// scheduler so it can drain its runners and exit.  Nothing of this
+    /// is journaled: queued and interrupted jobs stay live in the journal,
+    /// exactly as after a crash, so a successor daemon resumes them.
     pub fn stop(&self) {
         let mut inner = self.lock();
         inner.stop = true;
@@ -641,7 +653,6 @@ impl JobTable {
             queue.clear();
         }
         for entry in inner.jobs.values_mut() {
-            entry.user_cancelled = true;
             entry.cancel.store(true, Ordering::SeqCst);
             if entry.state == JobState::Queued {
                 entry.state = JobState::Cancelled;
@@ -1235,7 +1246,11 @@ fn run_job(
             }
         }
         if entry.state.is_terminal() {
-            terminal = Some((entry.state, entry.error.clone()));
+            // A cancel the client did not ask for is a daemon stop: the
+            // job stays live in the journal for the successor.
+            if entry.state != JobState::Cancelled || entry.user_cancelled {
+                terminal = Some((entry.state, entry.error.clone()));
+            }
             // A terminal job never runs again: drop the instantiated spec
             // (benchmark tables hold kernel input data) and account every
             // byte it still retains — the streamed cells of cancelled and

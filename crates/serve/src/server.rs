@@ -59,7 +59,7 @@ pub struct ServeConfig {
     /// queued jobs and resume interrupted ones (`None` = no journal).
     pub state_dir: Option<PathBuf>,
     /// Seconds a `drain` waits for running jobs to finish before
-    /// cancelling them and exiting anyway (their completed cells are
+    /// stopping them and exiting anyway (their completed cells are
     /// journaled, so a successor daemon resumes where they stopped).
     pub drain_timeout_seconds: f64,
     /// Per-connection read/write deadline in seconds; a peer that stays
@@ -140,7 +140,7 @@ struct Context {
     /// The daemon's own listen address, used to poke the accept loop
     /// awake when a drain completes and the daemon should exit.
     addr: SocketAddr,
-    /// How long a drain waits for running jobs before cancelling them.
+    /// How long a drain waits for running jobs before stopping them.
     drain_timeout: Duration,
     /// Ensures only one drainer thread is ever spawned, however many
     /// clients send `drain`.
@@ -662,7 +662,7 @@ fn handle_connection(
                         let drained = context.table.wait_drained(context.drain_timeout);
                         if !drained {
                             eprintln!(
-                                "sfi-serve: drain timeout after {:.1}s; cancelling running jobs",
+                                "sfi-serve: drain timeout after {:.1}s; stopping running jobs",
                                 context.drain_timeout.as_secs_f64()
                             );
                         }

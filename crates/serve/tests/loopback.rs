@@ -2,7 +2,8 @@
 //! bit-identical results vs the direct engine, multi-job scheduling
 //! (concurrency, priorities + preemption, per-client quotas, result
 //! eviction), cancellation, malformed requests, warm
-//! characterization-cache restarts and graceful shutdown.
+//! characterization-cache restarts, graceful shutdown, and what the
+//! journal carries across a restart after a cancel or a stop.
 
 use sfi_campaign::journal::{replay_file, Journal};
 use sfi_campaign::{checkpoint, CampaignEngine, CampaignResult, CampaignSpec};
@@ -553,6 +554,105 @@ fn jobs_can_be_cancelled() {
     assert_eq!(err.code(), Some(ErrorCode::UnknownJob), "{err}");
 
     server.shutdown();
+}
+
+#[test]
+fn a_cancelled_queued_job_stays_cancelled_after_a_restart() {
+    let dir = temp_dir("cancel_queued");
+    let mut config = ServeConfig::fast_for_tests();
+    config.state_dir = Some(dir.clone());
+    let server = Server::start(config.clone()).expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let sta = client.ping().expect("pong").sta_limit_mhz;
+
+    // One job slot: the long job holds it, so the second one waits.
+    let running = client
+        .submit(&long_def("holds-the-slot", sta, 64, 50))
+        .expect("accepted");
+    let queued = client.submit(&two_cell_def(sta)).expect("accepted");
+    assert_eq!(
+        client.status(queued.job).expect("status").state,
+        JobState::Queued
+    );
+    client.cancel(queued.job).expect("cancels");
+    assert_eq!(
+        client.status(queued.job).expect("status").state,
+        JobState::Cancelled
+    );
+    client.cancel(running.job).expect("cancels");
+    client.wait(running.job).expect("terminal");
+    client.shutdown().expect("bye");
+    server.join();
+
+    // The restarted daemon replays the cancel instead of requeueing the
+    // job.
+    let server = Server::start(config).expect("daemon restarts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let status = client.status(queued.job).expect("job survived");
+    assert_eq!(status.state, JobState::Cancelled);
+    assert_eq!(status.completed_cells, 0);
+    client.shutdown().expect("bye");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submits a slow campaign to a daemon journaling into `dir`, stops the
+/// daemon with `stop` once a cell has completed, then restarts it on the
+/// same journal: the job must resume and finish byte-identical to a
+/// direct engine run.
+fn stopped_job_resumes(name: &str, drain_timeout_seconds: f64, stop: fn(&mut Client)) {
+    let dir = temp_dir(name);
+    let mut config = ServeConfig::fast_for_tests();
+    config.state_dir = Some(dir.clone());
+    config.drain_timeout_seconds = drain_timeout_seconds;
+    let server = Server::start(config.clone()).expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let sta = client.ping().expect("pong").sta_limit_mhz;
+    let def = long_def(name, sta, 5, 200);
+    let ticket = client.submit(&def).expect("accepted");
+    loop {
+        let status = client.status(ticket.job).expect("status");
+        if status.completed_cells >= 1 {
+            assert!(
+                !status.is_terminal(),
+                "campaign finished before the stop could land; make it longer"
+            );
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    stop(&mut client);
+    drop(client);
+    server.join();
+
+    let server = Server::start(config).expect("daemon restarts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let status = client.wait(ticket.job).expect("job survives the stop");
+    assert_eq!(
+        status.state,
+        JobState::Done,
+        "{name}: the stop is not a cancel"
+    );
+    let doc = client.result(ticket.job).expect("result").to_string();
+    let (spec, direct) = direct_run(&def);
+    assert_eq!(doc, direct.to_json(&spec).to_string(), "{name}");
+    client.shutdown().expect("bye");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_job_interrupted_by_shutdown_resumes_bit_identically() {
+    stopped_job_resumes("stop_shutdown", 120.0, |client| {
+        client.shutdown().expect("bye");
+    });
+}
+
+#[test]
+fn a_job_interrupted_by_a_drain_timeout_resumes_bit_identically() {
+    stopped_job_resumes("stop_drain", 0.0, |client| {
+        assert_eq!(client.drain().expect("drain starts"), 1);
+    });
 }
 
 #[test]

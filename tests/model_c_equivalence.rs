@@ -1,6 +1,7 @@
-//! Property tests: the table-driven models C and B+ produce bit-identical
-//! fault masks to naive references that compute every cycle the way the
-//! pre-optimization implementations did.
+//! Property tests: the table-driven models C and B+, and model B (B+
+//! without noise), produce bit-identical fault masks to naive references
+//! that compute every cycle the way the pre-optimization implementations
+//! did.
 //!
 //! Model C keeps a compact distinct-value CDF per endpoint and skips the
 //! noise sample and the walk whenever its per-point endpoint classes prove
@@ -15,14 +16,19 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sfi_core::study::{CaseStudy, CaseStudyConfig};
 use sfi_cpu::{ExStageContext, FaultInjector};
 use sfi_fault::{
     alu_op_for_class, DtaFaultTable, OperatingPoint, StaWithNoiseModel, StatisticalDtaModel,
+    WORST_FACTOR_GUARD_BAND,
 };
 use sfi_isa::AluClass;
 use sfi_netlist::alu::AluDatapath;
 use sfi_netlist::{DelayModel, VoltageScaling};
-use sfi_timing::{characterize_alu, CharacterizationConfig, TimingCharacterization, VddDelayCurve};
+use sfi_timing::{
+    characterize_alu, freq_mhz_to_period_ps, period_ps_to_freq_mhz, CharacterizationConfig,
+    TimingCharacterization, VddDelayCurve,
+};
 use std::sync::Arc;
 
 /// The pre-optimization model C, kept verbatim as the reference: per
@@ -59,18 +65,15 @@ impl FaultInjector for NaiveModelC {
     }
 }
 
-/// The pre-optimization model B+, kept verbatim as the reference: a noise
-/// sample every cycle, then the STA mask at that cycle's factor.
-struct NaiveModelBPlus {
+/// The model B injector from before it became model B+ without noise,
+/// kept verbatim as the reference: on every in-window cycle, the endpoints
+/// whose STA delay exceeds the period.
+struct NaiveModelB {
     endpoint_delays_ps: Vec<f64>,
     period_ps: f64,
-    point: OperatingPoint,
-    curve: VddDelayCurve,
-    nominal_factor: f64,
-    rng: SmallRng,
 }
 
-impl NaiveModelBPlus {
+impl NaiveModelB {
     fn violation_mask(&self, delay_factor: f64) -> u32 {
         let mut mask = 0u32;
         for (bit, &delay) in self.endpoint_delays_ps.iter().enumerate().take(32) {
@@ -80,6 +83,25 @@ impl NaiveModelBPlus {
         }
         mask
     }
+}
+
+impl FaultInjector for NaiveModelB {
+    fn inject(&mut self, ctx: &ExStageContext) -> u32 {
+        if !ctx.fi_enabled {
+            return 0;
+        }
+        self.violation_mask(1.0)
+    }
+}
+
+/// The pre-optimization model B+, kept verbatim as the reference: a noise
+/// sample every cycle, then the STA mask at that cycle's factor.
+struct NaiveModelBPlus {
+    sta: NaiveModelB,
+    point: OperatingPoint,
+    curve: VddDelayCurve,
+    nominal_factor: f64,
+    rng: SmallRng,
 }
 
 impl FaultInjector for NaiveModelBPlus {
@@ -95,7 +117,7 @@ impl FaultInjector for NaiveModelBPlus {
             noise,
             self.nominal_factor,
         );
-        self.violation_mask(factor)
+        self.sta.violation_mask(factor)
     }
 }
 
@@ -134,6 +156,45 @@ const FREQ_FACTORS: [f64; 12] = [
 ];
 const NOISE_SIGMAS_MV: [f64; 3] = [0.0, 10.0, 25.0];
 const CYCLES: u64 = 1500;
+
+/// The clock whose period, as `OperatingPoint::period_ps` computes it, is
+/// nearest `period_ps`: the best of the few frequencies around
+/// `1e6 / period_ps`, exact whenever one of them hits it.
+fn freq_for_period(period_ps: f64) -> f64 {
+    let miss = |freq: f64| (freq_mhz_to_period_ps(freq) - period_ps).abs();
+    let mut best = period_ps_to_freq_mhz(period_ps);
+    let (mut down, mut up) = (best, best);
+    for _ in 0..4 {
+        down = down.next_down();
+        up = up.next_up();
+        for freq in [down, up] {
+            if miss(freq) < miss(best) {
+                best = freq;
+            }
+        }
+    }
+    best
+}
+
+/// Periods where a mask bit of model B flips or a verdict of its B+ form
+/// is taken: an endpoint's STA delay itself, one ulp either side of it,
+/// and the relative guard band either side of it, inside which B+'s
+/// construction-time `never_faults` and constant mask are computed from
+/// factors 1 ± 1e-9 rather than from 1.0.
+fn periods_at_endpoint_delays(delays: &[f64]) -> Vec<f64> {
+    delays
+        .iter()
+        .flat_map(|&delay| {
+            [
+                delay,
+                delay.next_up(),
+                delay.next_down(),
+                delay * (1.0 + WORST_FACTOR_GUARD_BAND),
+                delay * (1.0 - WORST_FACTOR_GUARD_BAND),
+            ]
+        })
+        .collect()
+}
 
 /// Drives `optimized` and `naive` through the same random sequence of
 /// instruction classes and fault-injection-window flags and asserts every
@@ -219,14 +280,50 @@ proptest! {
                     seed,
                 );
                 let mut naive = NaiveModelBPlus {
-                    endpoint_delays_ps: delays.to_vec(),
-                    period_ps: point.period_ps(),
+                    sta: NaiveModelB {
+                        endpoint_delays_ps: delays.to_vec(),
+                        period_ps: point.period_ps(),
+                    },
                     point,
                     curve: curve(),
                     nominal_factor: curve().delay_factor(point.vdd()),
                     rng: SmallRng::seed_from_u64(seed),
                 };
                 let case = format!("model B+ at {freq_factor} x STA, {sigma_mv} mV");
+                assert_same_masks(&mut optimized, &mut naive, seed, fi_rate, &case);
+            }
+        }
+    }
+
+    #[test]
+    fn model_b_matches_the_naive_reference(
+        seed in any::<u64>(),
+        fi_rate in prop::sample::select(vec![0.2, 0.8, 1.0]),
+    ) {
+        let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+        let ch = study.characterization(0.7);
+        let delays: Vec<f64> = (0..ch.endpoint_count())
+            .map(|e| ch.sta_endpoint_delay_ps(e))
+            .collect();
+        let sta = study.sta_limit_mhz(0.7);
+        let freqs = FREQ_FACTORS
+            .iter()
+            .map(|factor| sta * factor)
+            .chain(periods_at_endpoint_delays(&delays).into_iter().map(freq_for_period));
+        for freq in freqs {
+            for sigma_mv in NOISE_SIGMAS_MV {
+                // Model B ignores the point's noise level.
+                let point = OperatingPoint::new(freq, 0.7).with_noise_sigma_mv(sigma_mv);
+                let mut optimized = study.model_b(point);
+                let mut naive = NaiveModelB {
+                    endpoint_delays_ps: delays.clone(),
+                    period_ps: point.period_ps(),
+                };
+                let case = format!("model B at {} ps, {sigma_mv} mV", point.period_ps());
+                prop_assert!(
+                    !optimized.never_faults() || naive.violation_mask(1.0) == 0,
+                    "{case}: never_faults claimed for a faulting period"
+                );
                 assert_same_masks(&mut optimized, &mut naive, seed, fi_rate, &case);
             }
         }
