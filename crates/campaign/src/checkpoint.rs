@@ -13,12 +13,14 @@
 //!
 //! Cells use one codec everywhere: [`cell_to_json`] encodes a checkpoint
 //! record, a serve journal `cell` payload, a wire `stream` frame and an
-//! entry of the result document [`CampaignResult::to_json`] exports.
+//! entry of the result document: one [`header`] plus the cells in index
+//! order, built by [`result_document`] (which [`CampaignResult::to_json`]
+//! calls) for a finished campaign and for a served job alike.
 //! Trials are stored as compact arrays
 //! `[finished, correct, output_error, fi_rate_per_kcycle, cycles]`, with
 //! NaN (the output error of crashed runs) encoded as `null`.
 
-use crate::engine::{restorable, CampaignResult, CellResult};
+use crate::engine::{restorable_cells, CampaignResult, CellResult};
 use crate::journal::{self, Journal};
 use crate::json::Json;
 use crate::spec::CampaignSpec;
@@ -89,7 +91,10 @@ pub fn cell_from_json(value: &Json) -> Option<CellResult> {
     })
 }
 
-fn header(spec: &CampaignSpec) -> Json {
+/// The header of `spec`'s checkpoint log, `{"fingerprint", "name",
+/// "seed", "version"}`: also the metadata of its result document
+/// ([`result_document`]).
+pub fn header(spec: &CampaignSpec) -> Json {
     Json::obj([
         ("version", Json::Num(FORMAT_VERSION as f64)),
         ("name", Json::Str(spec.name.clone())),
@@ -101,9 +106,8 @@ fn header(spec: &CampaignSpec) -> Json {
 /// Opens the checkpoint log of `spec` at `path`, returning it (ready for
 /// appending cell records) with the cells it restores.
 ///
-/// Restored cells are those after a header matching `spec`, decoded,
-/// in range for the spec and [restorable](crate::CampaignEngine::with_seed_cells)
-/// under their budget; the first record of a cell index wins.  The log is
+/// Restored cells are those after a header matching `spec` that decode
+/// and pass [`restorable_cells`].  The log is
 /// then rewritten to exactly that header and those cells, so a missing
 /// file, a torn tail, a foreign fingerprint, an old JSON-document
 /// checkpoint or garbage all leave a fresh log behind.  Errors are I/O
@@ -111,19 +115,12 @@ fn header(spec: &CampaignSpec) -> Json {
 pub fn open_log(path: &Path, spec: &CampaignSpec) -> io::Result<(Journal, Vec<CellResult>)> {
     let header = header(spec);
     let records = journal::replay_file(path)?;
-    let mut cells: Vec<CellResult> = Vec::new();
-    if records.first() == Some(&header) {
-        let mut seen = vec![false; spec.cells().len()];
-        for cell in records[1..].iter().filter_map(cell_from_json) {
-            let Some(cell_spec) = spec.cells().get(cell.cell) else {
-                continue;
-            };
-            if !seen[cell.cell] && restorable(&cell, &cell_spec.budget) {
-                seen[cell.cell] = true;
-                cells.push(cell);
-            }
+    let cells = match records.split_first() {
+        Some((first, rest)) if *first == header => {
+            restorable_cells(spec, rest.iter().filter_map(cell_from_json))
         }
-    }
+        _ => Vec::new(),
+    };
     let compacted: Vec<Json> = std::iter::once(header)
         .chain(cells.iter().map(cell_to_json))
         .collect();
@@ -131,20 +128,24 @@ pub fn open_log(path: &Path, spec: &CampaignSpec) -> io::Result<(Journal, Vec<Ce
     Ok((log, cells))
 }
 
+/// The result document: a spec's [`header`] plus a `cells` member holding
+/// `cells` sorted by cell index.
+pub fn result_document<'a>(header: &Json, cells: impl IntoIterator<Item = &'a CellResult>) -> Json {
+    let mut cells: Vec<&CellResult> = cells.into_iter().collect();
+    cells.sort_by_key(|cell| cell.cell);
+    let mut document = header.clone();
+    if let Json::Obj(members) = &mut document {
+        let cells = cells.into_iter().map(cell_to_json).collect();
+        members.insert("cells".to_string(), Json::Arr(cells));
+    }
+    document
+}
+
 impl CampaignResult {
-    /// Exports the full campaign result as the result document: campaign
-    /// metadata plus every cell in spec order.
+    /// Exports the full campaign result as the [`result_document`]:
+    /// campaign metadata plus every cell in spec order.
     pub fn to_json(&self, spec: &CampaignSpec) -> Json {
-        Json::obj([
-            ("version", Json::Num(FORMAT_VERSION as f64)),
-            ("name", Json::Str(spec.name.clone())),
-            ("seed", Json::Str(spec.seed.to_string())),
-            ("fingerprint", Json::Str(self.fingerprint.to_string())),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(cell_to_json).collect()),
-            ),
-        ])
+        result_document(&header(spec), &self.cells)
     }
 }
 

@@ -228,11 +228,11 @@ impl CampaignEngine {
     /// completed campaign is bit-identical to one that was never
     /// interrupted.
     ///
-    /// A seeded cell is used only if its index is in range and the engine
-    /// could have produced it under the cell's budget (see
-    /// `restorable`); any other cell is ignored and simulated afresh.  For
-    /// a repeated index the first seed wins.  Seeded cells fire the
-    /// progress hook marked [`CellResult::from_checkpoint`].
+    /// Seeds pass [`restorable_cells`]: a cell out of range or one the
+    /// engine could not have produced under its budget is ignored and
+    /// simulated afresh, and for a repeated index the first seed wins.
+    /// Seeded cells fire the progress hook marked
+    /// [`CellResult::from_checkpoint`].
     pub fn with_seed_cells(mut self, cells: Vec<CellResult>) -> Self {
         self.seed_cells = cells;
         self
@@ -268,16 +268,12 @@ impl CampaignEngine {
             campaign_span = campaign_span.job(job);
         }
         let mut restored: Vec<Option<CellResult>> = vec![None; spec.cells().len()];
-        for cell in &self.seed_cells {
-            let fits = spec
-                .cells()
-                .get(cell.cell)
-                .is_some_and(|c| restorable(cell, &c.budget));
-            if fits && restored[cell.cell].is_none() {
-                let mut seeded = cell.clone();
-                seeded.from_checkpoint = true;
-                restored[cell.cell] = Some(seeded);
-            }
+        for cell in restorable_cells(spec, self.seed_cells.iter().cloned()) {
+            let index = cell.cell;
+            restored[index] = Some(CellResult {
+                from_checkpoint: true,
+                ..cell
+            });
         }
 
         // Seeded cells are announced up front, so a streaming observer
@@ -368,15 +364,34 @@ impl CampaignEngine {
     }
 }
 
-/// Whether the engine could have produced `cell` under `budget`, the one
-/// check every restored cell passes.
+/// The one filter every restored cell passes: the cells the engine could
+/// have produced for `spec` (index in range, `restorable` under the
+/// cell's budget), the first per index, in input order.
+pub fn restorable_cells(
+    spec: &CampaignSpec,
+    cells: impl IntoIterator<Item = CellResult>,
+) -> Vec<CellResult> {
+    let mut seen = vec![false; spec.cells().len()];
+    cells
+        .into_iter()
+        .filter(|cell| {
+            let fits = spec
+                .cells()
+                .get(cell.cell)
+                .is_some_and(|c| restorable(cell, &c.budget));
+            fits && !std::mem::replace(&mut seen[cell.cell], true)
+        })
+        .collect()
+}
+
+/// Whether the engine could have produced `cell` under `budget`.
 ///
 /// A cell runs `min(min_trials, max_trials)` trials first, then grows by
 /// `batch` until its stop rule holds or it reaches `max_trials`; it
 /// stopped early exactly when it ended below `max_trials`, and without a
 /// stop rule it always runs `max_trials`.  Anything else — a truncated or
 /// hand-edited record, a seed for another budget — is not trusted.
-pub(crate) fn restorable(cell: &CellResult, budget: &TrialBudget) -> bool {
+fn restorable(cell: &CellResult, budget: &TrialBudget) -> bool {
     let len = cell.trials.len();
     let max = budget.max_trials;
     let initial = budget.min_trials.min(max);

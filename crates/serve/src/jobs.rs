@@ -34,14 +34,18 @@
 //!
 //! # Result retention
 //!
-//! Terminal jobs retain their data for later `result`/`stream` fetches,
-//! up to [`TableLimits::result_cap_bytes`] of serialized JSON across all
-//! jobs (done jobs retain their result document plus streamed cells;
-//! cancelled and failed jobs their streamed cells).  Above the cap, the
-//! least-recently-fetched entries are evicted; fetching an evicted
-//! result reports `result_evicted` (the job's final status survives
-//! eviction, only the data is dropped).
+//! A job keeps its completed cells once, as decoded [`CellResult`]s; each
+//! `stream` frame and the `result` document ([`checkpoint::result_document`]
+//! over the header captured at submit) are encoded from them on fetch, so
+//! the two cannot disagree.  Terminal jobs keep their cells for later
+//! fetches, up to [`TableLimits::result_cap_bytes`] across all jobs, each
+//! counting the bytes of its result document (done jobs) and cell frames.
+//! Above the cap, the least-recently-fetched entries are evicted; fetching
+//! an evicted result reports `result_evicted` (the job's status survives
+//! eviction and restarts, only the cells are dropped).
 
+use crate::journal::Progress;
+use sfi_campaign::engine::restorable_cells;
 use sfi_campaign::journal::Journal;
 use sfi_campaign::{checkpoint, CampaignEngine, CampaignSpec, CellResult};
 use sfi_core::json::Json;
@@ -191,20 +195,21 @@ pub enum SubmitRejected {
 struct JobEntry {
     /// The instantiated campaign (validated and built once, at submit).
     spec: CampaignSpec,
+    /// The spec's [`checkpoint::header`], captured at submit: the result
+    /// document is built on fetch, after the spec is dropped.
+    header: Json,
     state: JobState,
     priority: Priority,
     client: String,
-    total_cells: usize,
-    /// Streamed per-cell documents (campaign cell codec), completion
-    /// order.  Doubles as the preemption checkpoint: on resume these are
-    /// decoded and seeded back into the engine.
-    cells: Vec<Json>,
+    /// The status counters; they outlive eviction and, through the
+    /// journal's `done` record, restarts.
+    progress: Progress,
+    /// Completed cells, completion order (dropped on eviction): stream
+    /// frames, result document and resume seeds.
+    cells: Vec<CellResult>,
     /// Cell indices already present in `cells` (so re-announced seeded
     /// cells are not streamed twice).
     seen_cells: BTreeSet<usize>,
-    /// Full result document, once done (dropped on eviction).
-    result: Option<Json>,
-    executed_trials: usize,
     error: Option<String>,
     /// Cooperative stop flag of the current (or next) run; replaced with
     /// a fresh flag when the job is requeued after a preemption.
@@ -237,15 +242,44 @@ struct JobEntry {
 }
 
 impl JobEntry {
+    /// A freshly queued job of `spec`, (re)submitted at `now`.
+    fn queued(spec: CampaignSpec, priority: Priority, client: &str, now: u64) -> JobEntry {
+        JobEntry {
+            header: checkpoint::header(&spec),
+            progress: Progress {
+                total_cells: spec.cells().len(),
+                ..Progress::default()
+            },
+            spec,
+            state: JobState::Queued,
+            priority,
+            client: client.to_string(),
+            cells: Vec::new(),
+            seen_cells: BTreeSet::new(),
+            error: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            user_cancelled: false,
+            preempt_requested: false,
+            preemptions: 0,
+            retained_bytes: 0,
+            evicted: false,
+            last_access: 0,
+            enqueued_us: now,
+            started_us: 0,
+            run_accum_us: 0,
+            submitted_us: now,
+        }
+    }
+
     fn status(&self, job: u64) -> JobStatus {
         JobStatus {
             job,
             state: self.state,
             priority: self.priority,
             client: self.client.clone(),
-            completed_cells: self.cells.len(),
-            total_cells: self.total_cells,
-            executed_trials: self.executed_trials,
+            completed_cells: self.progress.completed_cells,
+            total_cells: self.progress.total_cells,
+            executed_trials: self.progress.executed_trials,
             preemptions: self.preemptions,
             evicted: self.evicted,
             error: self.error.clone(),
@@ -323,10 +357,8 @@ impl Inner {
     }
 
     /// Evicts least-recently-fetched finished results until the retained
-    /// total fits under the cap again; returns the evicted job ids so the
-    /// caller can journal them outside the lock.
-    fn evict_to_cap(&mut self, cap: usize) -> Vec<u64> {
-        let mut evicted = Vec::new();
+    /// total fits under the cap again.
+    fn evict_to_cap(&mut self, cap: usize) {
         while self.retained_total > cap {
             let victim = self
                 .jobs
@@ -339,7 +371,6 @@ impl Inner {
             let released = entry.retained_bytes;
             self.retained_total -= released;
             entry.retained_bytes = 0;
-            entry.result = None;
             entry.cells = Vec::new();
             entry.evicted = true;
             self.evictions_total += 1;
@@ -351,9 +382,7 @@ impl Inner {
                     .job(id)
                     .field("bytes", released),
             );
-            evicted.push(id);
         }
-        evicted
     }
 
     /// Mirrors the queue depths and running-slot count into the metric
@@ -394,7 +423,7 @@ pub struct JobTable {
 /// What a streaming handler gets when it asks for the next cell of a job.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NextCell {
-    /// A newly completed cell document.
+    /// A completed cell, encoded with the campaign cell codec.
     Cell(Json),
     /// No more cells will arrive; the job ended in this state.
     End(JobState),
@@ -454,8 +483,7 @@ impl JobTable {
     }
 
     /// Attaches the durable job journal: every submit/start/cell/
-    /// preempt/done/evict transition is appended (and fsync'd) from now
-    /// on.
+    /// preempt/done transition is appended (and fsync'd) from now on.
     pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
         self
@@ -533,33 +561,8 @@ impl JobTable {
                 .insert(idempotency_map_key(client, key), id);
         }
         let total_cells = spec.cells().len();
-        let now = clock::now_micros();
-        inner.jobs.insert(
-            id,
-            JobEntry {
-                spec,
-                state: JobState::Queued,
-                priority,
-                client: client.to_string(),
-                total_cells,
-                cells: Vec::new(),
-                seen_cells: BTreeSet::new(),
-                result: None,
-                executed_trials: 0,
-                error: None,
-                cancel: Arc::new(AtomicBool::new(false)),
-                user_cancelled: false,
-                preempt_requested: false,
-                preemptions: 0,
-                retained_bytes: 0,
-                evicted: false,
-                last_access: 0,
-                enqueued_us: now,
-                started_us: 0,
-                run_accum_us: 0,
-                submitted_us: now,
-            },
-        );
+        let entry = JobEntry::queued(spec, priority, client, clock::now_micros());
+        inner.jobs.insert(id, entry);
         inner.queues[priority.index()].push_back(id);
         sfi_obs::metrics().sched_jobs_submitted.inc();
         inner.sync_gauges();
@@ -591,7 +594,7 @@ impl JobTable {
         self.lock().jobs.get(&id).map(|entry| entry.status(id))
     }
 
-    /// The retained result document of job `id`.
+    /// The result document of job `id`, built from its retained cells.
     pub fn result(&self, id: u64) -> ResultFetch {
         let mut inner = self.lock();
         let Some(entry) = inner.jobs.get(&id) else {
@@ -600,14 +603,13 @@ impl JobTable {
         if entry.evicted {
             return ResultFetch::Evicted;
         }
-        match &entry.result {
-            Some(doc) => {
-                let doc = doc.clone();
-                inner.touch(id);
-                ResultFetch::Document(doc)
-            }
-            None => ResultFetch::NotReady,
+        if entry.state != JobState::Done {
+            return ResultFetch::NotReady;
         }
+        let (header, cells) = (entry.header.clone(), entry.cells.clone());
+        inner.touch(id);
+        drop(inner);
+        ResultFetch::Document(checkpoint::result_document(&header, &cells))
     }
 
     /// Requests cancellation of job `id`.  Queued jobs are cancelled
@@ -622,6 +624,7 @@ impl JobTable {
         entry.user_cancelled = true;
         entry.cancel.store(true, Ordering::SeqCst);
         let was_queued = entry.state == JobState::Queued;
+        let progress = entry.progress;
         if was_queued {
             entry.state = JobState::Cancelled;
             entry.spec = CampaignSpec::new(String::new(), 0);
@@ -636,7 +639,8 @@ impl JobTable {
         // A queued job never reaches `run_job`, which journals the end of
         // every job it runs: without this record a restart requeues it.
         if let (true, Some(journal)) = (was_queued, self.journal()) {
-            let record = crate::journal::done_record(id, JobState::Cancelled.as_str(), None);
+            let record =
+                crate::journal::done_record(id, JobState::Cancelled.as_str(), None, progress);
             journal.append_best_effort(&record);
         }
         true
@@ -719,9 +723,10 @@ impl JobTable {
 
     /// Restores one journaled job during restart recovery.
     ///
-    /// Non-terminal jobs come back queued with their completed cells as
-    /// resume seeds; terminal jobs keep their final status but report
-    /// `evicted` (result bytes are not journaled, only transitions).
+    /// A live job comes back queued with its [restorable](restorable_cells)
+    /// journaled cells as resume seeds.  A terminal job, or a live one
+    /// whose `spec` no longer instantiates, keeps no cells and its
+    /// journaled counters, and reports `evicted`.
     pub fn restore(&self, job: crate::journal::RecoveredJob, spec: Option<CampaignSpec>) {
         let mut inner = self.lock();
         let id = job.id;
@@ -736,78 +741,46 @@ impl JobTable {
                 .filter(|s| s.is_terminal())
                 .map(|s| (s, error.clone()))
         });
-        let seen_cells: BTreeSet<usize> = job
-            .cells
-            .iter()
-            .filter_map(|cell| cell.get("cell").and_then(Json::as_u64))
-            .map(|index| index as usize)
-            .collect();
-        let executed_trials = job
-            .cells
-            .iter()
-            .filter_map(|cell| cell.get("trials").and_then(Json::as_arr))
-            .map(|trials| trials.len())
-            .sum();
         let now = clock::now_micros();
-        let (state, error, spec, evicted) = match (&terminal, spec) {
-            (Some((state, error)), _) => (
-                *state,
-                error.clone(),
-                CampaignSpec::new(String::new(), 0),
-                true,
-            ),
-            (None, Some(spec)) => (JobState::Queued, None, spec, false),
+        let mut entry = match (terminal, spec) {
+            (None, Some(spec)) => {
+                let mut entry = JobEntry::queued(spec, job.priority, &job.client, now);
+                let decoded = job.cells.iter().filter_map(checkpoint::cell_from_json);
+                entry.cells = restorable_cells(&entry.spec, decoded);
+                entry.seen_cells = entry.cells.iter().map(|cell| cell.cell).collect();
+                entry.progress.completed_cells = entry.cells.len();
+                entry.progress.executed_trials = entry.cells.iter().map(|c| c.trials.len()).sum();
+                inner.queues[job.priority.index()].push_back(id);
+                entry
+            }
             // A live job whose spec no longer instantiates (e.g. the
             // daemon restarted against a different study): keep the id
             // and status, but fail it instead of wedging the restart.
-            (None, None) => (
-                JobState::Failed,
-                Some("journal recovery could not re-instantiate the campaign".to_string()),
-                CampaignSpec::new(String::new(), 0),
-                true,
-            ),
+            (terminal, _) => {
+                let (state, error) = terminal.unwrap_or_else(|| {
+                    let error = "journal recovery could not re-instantiate the campaign";
+                    (JobState::Failed, Some(error.to_string()))
+                });
+                let empty = CampaignSpec::new(String::new(), 0);
+                JobEntry {
+                    state,
+                    error,
+                    progress: job.progress,
+                    evicted: true,
+                    ..JobEntry::queued(empty, job.priority, &job.client, now)
+                }
+            }
         };
-        let total_cells = if state == JobState::Queued {
-            spec.cells().len()
-        } else {
-            seen_cells.len().max(job.cells.len())
-        };
-        inner.jobs.insert(
-            id,
-            JobEntry {
-                spec,
-                state,
-                priority: job.priority,
-                client: job.client.clone(),
-                total_cells,
-                cells: job.cells.clone(),
-                seen_cells,
-                result: None,
-                executed_trials,
-                error,
-                cancel: Arc::new(AtomicBool::new(false)),
-                user_cancelled: false,
-                preempt_requested: false,
-                preemptions: job.preemptions,
-                retained_bytes: 0,
-                evicted,
-                last_access: 0,
-                enqueued_us: now,
-                started_us: 0,
-                run_accum_us: 0,
-                submitted_us: now,
-            },
-        );
-        if state == JobState::Queued {
-            inner.queues[job.priority.index()].push_back(id);
-        }
+        entry.preemptions = job.preemptions;
+        let (state, cells) = (entry.state, entry.progress.completed_cells);
+        inner.jobs.insert(id, entry);
         inner.sync_gauges();
         sfi_obs::metrics().recovered_jobs.inc();
         sfi_obs::events().push(
             Event::new("job_recovered")
                 .job(id)
                 .field("state", state.as_str())
-                .field("cells", job.cells.len())
+                .field("cells", cells)
                 .field("resumed", if job.started { "yes" } else { "no" }),
         );
         self.scheduler_wake.notify_all();
@@ -853,7 +826,8 @@ impl JobTable {
             if let Some(cell) = entry.cells.get(index) {
                 let cell = cell.clone();
                 inner.touch(id);
-                return NextCell::Cell(cell);
+                drop(inner);
+                return NextCell::Cell(checkpoint::cell_to_json(&cell));
             }
             if entry.state.is_terminal() {
                 return NextCell::End(entry.state);
@@ -991,14 +965,9 @@ fn pick(inner: &mut Inner, limits: &TableLimits, max_jobs: usize) -> Dispatch {
             );
             let spec = entry.spec.clone();
             let cancel = entry.cancel.clone();
-            // Completed cells of a preempted earlier attempt seed the
-            // resumed engine; decoding failures (impossible for documents
-            // we encoded ourselves) simply re-simulate the cell.
-            let seeds: Vec<CellResult> = entry
-                .cells
-                .iter()
-                .filter_map(checkpoint::cell_from_json)
-                .collect();
+            // Completed cells of a preempted or journaled earlier attempt
+            // seed the resumed engine.
+            let seeds = entry.cells.clone();
             inner.running.push(id);
             inner.sync_gauges();
             return Dispatch::Start {
@@ -1145,7 +1114,7 @@ fn run_job(
         .with_trace_job(id);
     let hook_table = table.clone();
     let engine = engine.with_progress(Arc::new(move |cell: &CellResult| {
-        let mut journal_doc = None;
+        let mut fresh = false;
         {
             let mut inner = hook_table.lock();
             if let Some(entry) = inner.jobs.get_mut(&id) {
@@ -1153,21 +1122,26 @@ fn run_job(
                 // already streamed are announced again on resume;
                 // `seen_cells` keeps every cell exactly once in the
                 // stream (and exactly once in the journal).
-                if entry.seen_cells.insert(cell.cell) {
-                    let doc = checkpoint::cell_to_json(cell);
-                    journal_doc = Some(doc.clone());
-                    entry.cells.push(doc);
+                fresh = entry.seen_cells.insert(cell.cell);
+                if fresh {
+                    entry.cells.push(cell.clone());
+                    entry.progress.completed_cells += 1;
                 }
             }
             hook_table.update.notify_all();
         }
-        // The fsync happens outside the table lock: a slow disk must not
-        // stall status/stream handlers.
-        if let (Some(journal), Some(doc)) = (hook_table.journal(), &journal_doc) {
-            journal.append_best_effort(&crate::journal::cell_record(id, doc));
-        }
-        if let (Some(log), false) = (&log, cell.from_checkpoint) {
-            log.append_best_effort(&journal_doc.unwrap_or_else(|| checkpoint::cell_to_json(cell)));
+        // Encoding and the fsyncs happen outside the table lock: a slow
+        // disk must not stall status/stream handlers.
+        let journal = hook_table.journal().filter(|_| fresh);
+        let log = log.as_ref().filter(|_| !cell.from_checkpoint);
+        if journal.is_some() || log.is_some() {
+            let doc = checkpoint::cell_to_json(cell);
+            if let Some(journal) = journal {
+                journal.append_best_effort(&crate::journal::cell_record(id, &doc));
+            }
+            if let Some(log) = log {
+                log.append_best_effort(&doc);
+            }
         }
     }));
 
@@ -1178,14 +1152,13 @@ fn run_job(
     let mut requeue_class = None;
     let mut retained = 0usize;
     let mut preempted = false;
-    let mut terminal: Option<(JobState, Option<String>)> = None;
-    let mut evicted_ids = Vec::new();
+    let mut terminal: Option<(JobState, Option<String>, Progress)> = None;
     if let Some(entry) = inner.jobs.get_mut(&id) {
         let cell_bytes = |entry: &JobEntry| {
             entry
                 .cells
                 .iter()
-                .map(|c| c.to_string().len())
+                .map(|cell| checkpoint::cell_to_json(cell).to_string().len())
                 .sum::<usize>()
         };
         let now = clock::now_micros();
@@ -1203,7 +1176,7 @@ fn run_job(
         );
         match outcome {
             Ok(result) => {
-                entry.executed_trials += result.metrics.executed_trials;
+                entry.progress.executed_trials += result.metrics.executed_trials;
                 if result.cancelled {
                     if entry.preempt_requested && !entry.user_cancelled && !stop {
                         // Preempted: keep the completed cells as the
@@ -1229,9 +1202,9 @@ fn run_job(
                 } else {
                     entry.preempt_requested = false;
                     entry.state = JobState::Done;
-                    let doc = result.to_json(&spec);
-                    retained = doc.to_string().len() + cell_bytes(entry);
-                    entry.result = Some(doc);
+                    let doc = checkpoint::result_document(&entry.header, &entry.cells).to_string();
+                    debug_assert_eq!(doc, result.to_json(&spec).to_string());
+                    retained = doc.len() + cell_bytes(entry);
                 }
             }
             Err(payload) => {
@@ -1249,13 +1222,15 @@ fn run_job(
             // A cancel the client did not ask for is a daemon stop: the
             // job stays live in the journal for the successor.
             if entry.state != JobState::Cancelled || entry.user_cancelled {
-                terminal = Some((entry.state, entry.error.clone()));
+                terminal = Some((entry.state, entry.error.clone(), entry.progress));
             }
             // A terminal job never runs again: drop the instantiated spec
-            // (benchmark tables hold kernel input data) and account every
-            // byte it still retains — the streamed cells of cancelled and
-            // failed jobs count toward the cap just like done results.
+            // (benchmark tables hold kernel input data) and the resume
+            // index, and account every byte it still retains — the
+            // streamed cells of cancelled and failed jobs count toward the
+            // cap just like done results.
             entry.spec = CampaignSpec::new(String::new(), 0);
+            entry.seen_cells = BTreeSet::new();
             entry.retained_bytes = retained;
             let run_s = entry.run_accum_us as f64 / 1e6;
             sfi_obs::metrics().job_run_seconds.observe(run_s);
@@ -1274,7 +1249,7 @@ fn run_job(
                     ("preemptions", sfi_obs::FieldValue::U64(entry.preemptions)),
                     (
                         "trials",
-                        sfi_obs::FieldValue::U64(entry.executed_trials as u64),
+                        sfi_obs::FieldValue::U64(entry.progress.executed_trials as u64),
                     ),
                 ],
             );
@@ -1286,7 +1261,7 @@ fn run_job(
                 })
                 .job(id)
                 .field("run_s", run_s)
-                .field("trials", entry.executed_trials),
+                .field("trials", entry.progress.executed_trials),
             );
         }
     }
@@ -1300,7 +1275,7 @@ fn run_job(
         inner.retained_total += retained;
         inner.touch(id);
         if let Some(cap) = table.limits.result_cap_bytes {
-            evicted_ids = inner.evict_to_cap(cap);
+            inner.evict_to_cap(cap);
         }
     }
     inner.sync_gauges();
@@ -1310,15 +1285,13 @@ fn run_job(
         if preempted {
             journal.append_best_effort(&crate::journal::preempt_record(id));
         }
-        if let Some((state, error)) = &terminal {
+        if let Some((state, error, progress)) = &terminal {
             journal.append_best_effort(&crate::journal::done_record(
                 id,
                 state.as_str(),
                 error.as_deref(),
+                *progress,
             ));
-        }
-        for evicted in &evicted_ids {
-            journal.append_best_effort(&crate::journal::evict_record(*evicted));
         }
     }
     // Runner threads are short-lived; hand their span buffer to the
@@ -1331,12 +1304,50 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{BenchmarkDef, CampaignDef};
+    use crate::wire::{BenchmarkDef, BudgetDef, CampaignDef, CellDef};
+    use sfi_campaign::CellStats;
+    use sfi_core::{FaultModel, TrialResult};
 
     fn tiny_spec(name: &str) -> CampaignSpec {
         let mut def = CampaignDef::new(name, 5);
         def.add_benchmark(BenchmarkDef::Median { values: 5, seed: 1 });
         def.instantiate().expect("tiny campaign instantiates")
+    }
+
+    /// A campaign of one fault-free two-trial cell, and a cell it can
+    /// produce.
+    fn one_cell_spec(name: &str) -> (CampaignSpec, CellResult) {
+        let mut def = CampaignDef::new(name, 5);
+        let median = def.add_benchmark(BenchmarkDef::Median { values: 5, seed: 1 });
+        def.cells.push(CellDef {
+            benchmark: median,
+            model: FaultModel::None,
+            freq_mhz: 500.0,
+            vdd: 0.7,
+            noise_sigma_mv: 0.0,
+            budget: BudgetDef::fixed(2),
+        });
+        let trials = vec![
+            TrialResult {
+                finished: true,
+                correct: true,
+                output_error: 0.0,
+                fi_rate_per_kcycle: 0.0,
+                cycles: 40,
+            };
+            2
+        ];
+        let cell = CellResult {
+            cell: 0,
+            stats: CellStats::from_trials(&trials),
+            trials,
+            stopped_early: false,
+            from_checkpoint: false,
+        };
+        (
+            def.instantiate().expect("one-cell campaign instantiates"),
+            cell,
+        )
     }
 
     fn submit(table: &JobTable, name: &str, priority: Priority, client: &str) -> u64 {
@@ -1439,13 +1450,8 @@ mod tests {
         use crate::journal::RecoveredJob;
         let table = JobTable::new();
         let spec_doc = Json::obj([("name", Json::Str("r".into()))]);
-        let cell = Json::obj([
-            ("cell", Json::Num(0.0)),
-            (
-                "trials",
-                Json::Arr(vec![Json::Arr(Vec::new()), Json::Arr(Vec::new())]),
-            ),
-        ]);
+        let (spec, cell) = one_cell_spec("r");
+        let cell = checkpoint::cell_to_json(&cell);
         table.restore(
             RecoveredJob {
                 id: 5,
@@ -1453,12 +1459,14 @@ mod tests {
                 priority: Priority::High,
                 client: "alice".into(),
                 idempotency_key: Some("k1".into()),
-                cells: vec![cell],
+                // A replayed duplicate: the restore filter keeps the first.
+                cells: vec![cell.clone(), cell],
                 preemptions: 2,
                 started: true,
                 terminal: None,
+                progress: Progress::default(),
             },
-            Some(tiny_spec("r")),
+            Some(spec),
         );
         table.restore(
             RecoveredJob {
@@ -1471,6 +1479,7 @@ mod tests {
                 preemptions: 0,
                 started: true,
                 terminal: Some(("failed".into(), Some("boom".into()))),
+                progress: Progress::default(),
             },
             None,
         );
@@ -1623,32 +1632,13 @@ mod tests {
         });
         let mut inner = table.lock();
         for id in [1u64, 2, 3] {
-            inner.jobs.insert(
-                id,
-                JobEntry {
-                    spec: tiny_spec("x"),
-                    state: JobState::Done,
-                    priority: Priority::Normal,
-                    client: "t".into(),
-                    total_cells: 0,
-                    cells: Vec::new(),
-                    seen_cells: BTreeSet::new(),
-                    result: Some(Json::Null),
-                    executed_trials: 0,
-                    error: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    user_cancelled: false,
-                    preempt_requested: false,
-                    preemptions: 0,
-                    retained_bytes: 100,
-                    evicted: false,
-                    last_access: id,
-                    enqueued_us: 0,
-                    started_us: 0,
-                    run_accum_us: 0,
-                    submitted_us: 0,
-                },
-            );
+            let entry = JobEntry {
+                state: JobState::Done,
+                retained_bytes: 100,
+                last_access: id,
+                ..JobEntry::queued(tiny_spec("x"), Priority::Normal, "t", 0)
+            };
+            inner.jobs.insert(id, entry);
             inner.retained_total += 100;
         }
         inner.lru_clock = 3;

@@ -2,14 +2,20 @@
 //!
 //! The journal is the [`sfi_campaign::journal`] log at
 //! `--state-dir/journal.log`: every job transition (`submit`, `start`,
-//! `cell`, `preempt`, `done`, `evict`) is appended and fsync'd as one
-//! CRC-framed JSON record built here.  On restart the daemon replays the
-//! log — tolerating a torn or corrupt final record, which a crash
-//! mid-append can leave behind — [folds](recover) the records into per-job
-//! recovery state and rewrites the log from [`compaction_records`]:
-//! queued jobs come back queued, running jobs come back queued *with their
-//! completed cells as seeds* (the engine's `with_seed_cells` re-announces
-//! them and simulates only the rest), and terminal jobs keep their status.
+//! `cell`, `preempt`, `done`) is appended and fsync'd as one CRC-framed
+//! JSON record built here.  On restart the daemon replays the log —
+//! tolerating a torn or corrupt final record, which a crash mid-append can
+//! leave behind — [folds](recover) the records into per-job recovery state
+//! and rewrites the log from [`compaction_records`]: queued jobs come back
+//! queued, running jobs come back queued *with their completed cells as
+//! seeds* (decoded and passed through the campaign's one restore filter,
+//! `sfi_campaign::engine::restorable_cells`; the engine re-announces them
+//! and simulates only the rest), and terminal jobs keep their status.  A
+//! `done` record carries the job's final [`Progress`], so a terminal job
+//! needs no `cell` records: compaction drops them, and its status reads
+//! the same after any number of restarts (only `evicted` turns true,
+//! since result bytes are not journaled).
+//!
 //! Determinism makes the guarantee strong: a recovered campaign produces a
 //! result document byte-identical to an uninterrupted run.  Cell payloads
 //! use the campaign cell codec (`sfi_campaign::checkpoint::cell_to_json`),
@@ -66,19 +72,45 @@ pub fn preempt_record(job: u64) -> Json {
     Json::obj(base("preempt", job))
 }
 
-/// A `done` record: the job reached a terminal state.
-pub fn done_record(job: u64, state: &str, error: Option<&str>) -> Json {
+/// A `done` record: the job reached a terminal state, with the counters
+/// its status reports from then on.
+pub fn done_record(job: u64, state: &str, error: Option<&str>, progress: Progress) -> Json {
     let mut members = base("done", job);
     members.push(("state", Json::Str(state.into())));
     if let Some(error) = error {
         members.push(("error", Json::Str(error.into())));
     }
+    for (key, count) in [
+        ("completed_cells", progress.completed_cells),
+        ("total_cells", progress.total_cells),
+        ("executed_trials", progress.executed_trials),
+    ] {
+        members.push((key, Json::Num(count as f64)));
+    }
     Json::obj(members)
 }
 
-/// An `evict` record: the retained result was dropped under the byte cap.
-pub fn evict_record(job: u64) -> Json {
-    Json::obj(base("evict", job))
+/// The progress counters of a job's status.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Cells completed.
+    pub completed_cells: usize,
+    /// Cells of the campaign.
+    pub total_cells: usize,
+    /// Trials simulated, accumulated across preemptions and restarts.
+    pub executed_trials: usize,
+}
+
+impl Progress {
+    /// The counters a `done` record carries, if it carries all three.
+    fn of_done_record(record: &Json) -> Option<Progress> {
+        let count = |key| record.get(key).and_then(Json::as_u64).map(|n| n as usize);
+        Some(Progress {
+            completed_cells: count("completed_cells")?,
+            total_cells: count("total_cells")?,
+            executed_trials: count("executed_trials")?,
+        })
+    }
 }
 
 /// Per-job state folded out of a journal replay.
@@ -94,8 +126,9 @@ pub struct RecoveredJob {
     pub client: String,
     /// The idempotency key the submit carried, if any.
     pub idempotency_key: Option<String>,
-    /// Completed cells (campaign cell codec), deduplicated by cell
-    /// index, journal order.  Seeds for the resumed run.
+    /// Every `cell` record's cell (campaign cell codec), journal order.
+    /// A live job's resume seeds once decoded and passed through
+    /// `sfi_campaign::engine::restorable_cells`.
     pub cells: Vec<Json>,
     /// Cooperative preemptions the job had accumulated.
     pub preemptions: u64,
@@ -104,6 +137,11 @@ pub struct RecoveredJob {
     /// Terminal state and error, when the job had already finished:
     /// `(state, error)` with the wire spelling of [`crate::jobs::JobState`].
     pub terminal: Option<(String, Option<String>)>,
+    /// The counters of a terminal job's status, from its `done` record;
+    /// counted from the job's `cell` records (one cell each, and its
+    /// trials) when that record lacks them, as in journals written before
+    /// `done` records carried them, and for live jobs.
+    pub progress: Progress,
 }
 
 /// Folds replayed records into per-job recovery state, id order.
@@ -113,7 +151,6 @@ pub struct RecoveredJob {
 /// such orphans, and the un-acknowledged client will simply resubmit.
 pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
     let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-    let mut seen_cells: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for record in records {
         let kind = record.get("kind").and_then(Json::as_str).unwrap_or("");
         let Some(id) = record.get("job").and_then(Json::as_u64) else {
@@ -142,6 +179,7 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
                     preemptions: 0,
                     started: false,
                     terminal: None,
+                    progress: Progress::default(),
                 });
             }
             "start" => {
@@ -150,13 +188,14 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
                 }
             }
             "cell" => {
-                let (Some(job), Some(cell)) = (jobs.get_mut(&id), record.get("cell")) else {
-                    continue;
-                };
-                let index = cell.get("cell").and_then(Json::as_u64).unwrap_or(u64::MAX);
-                let seen = seen_cells.entry(id).or_default();
-                if !seen.contains(&index) {
-                    seen.push(index);
+                if let (Some(job), Some(cell)) = (jobs.get_mut(&id), record.get("cell")) {
+                    let trials = cell
+                        .get("trials")
+                        .and_then(Json::as_arr)
+                        .map_or(0, <[Json]>::len);
+                    job.progress.completed_cells += 1;
+                    job.progress.total_cells += 1;
+                    job.progress.executed_trials += trials;
                     job.cells.push(cell.clone());
                 }
             }
@@ -178,11 +217,14 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
                             .and_then(Json::as_str)
                             .map(str::to_string),
                     ));
+                    if let Some(progress) = Progress::of_done_record(record) {
+                        job.progress = progress;
+                    }
                 }
             }
-            // Results are not journaled, so eviction needs no replay
-            // action: every recovered terminal job reports `evicted`.
-            "evict" => {}
+            // Anything else — such as the `evict` records older daemons
+            // wrote — needs no replay action: results are not journaled,
+            // so every recovered terminal job reports `evicted`.
             _ => {}
         }
     }
@@ -190,8 +232,8 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
 }
 
 /// The compacted journal records equivalent to `jobs`: one `submit` per
-/// job, its `cell` records for live jobs, and the `done` record for
-/// terminal ones.
+/// job and its `preempt` records, then its `start` and `cell` records for
+/// live jobs, and the `done` record (with its counters) for terminal ones.
 pub fn compaction_records(jobs: &[RecoveredJob]) -> Vec<Json> {
     let mut records = Vec::new();
     for job in jobs {
@@ -202,16 +244,16 @@ pub fn compaction_records(jobs: &[RecoveredJob]) -> Vec<Json> {
             &job.client,
             job.idempotency_key.as_deref(),
         ));
+        for _ in 0..job.preemptions {
+            records.push(preempt_record(job.id));
+        }
         match &job.terminal {
             Some((state, error)) => {
-                records.push(done_record(job.id, state, error.as_deref()));
+                records.push(done_record(job.id, state, error.as_deref(), job.progress));
             }
             None => {
                 if job.started {
                     records.push(start_record(job.id));
-                }
-                for _ in 0..job.preemptions {
-                    records.push(preempt_record(job.id));
                 }
                 for cell in &job.cells {
                     records.push(cell_record(job.id, cell));
@@ -252,6 +294,24 @@ mod tests {
         ])
     }
 
+    fn progress(completed_cells: usize, total_cells: usize, executed_trials: usize) -> Progress {
+        Progress {
+            completed_cells,
+            total_cells,
+            executed_trials,
+        }
+    }
+
+    /// A `done` record as journals written before it carried counters
+    /// hold it.
+    fn bare_done_record(job: u64, state: &str) -> Json {
+        Json::obj([
+            ("kind", Json::Str("done".into())),
+            ("job", Json::Str(job.to_string())),
+            ("state", Json::Str(state.into())),
+        ])
+    }
+
     #[test]
     fn records_round_trip_through_the_file() {
         let path = temp_journal("roundtrip");
@@ -261,9 +321,8 @@ mod tests {
             start_record(1),
             cell_record(1, &cell_doc(0)),
             preempt_record(1),
-            done_record(1, "done", None),
-            evict_record(1),
-            done_record(2, "failed", Some("boom")),
+            done_record(1, "done", None, progress(1, 1, 4)),
+            done_record(2, "failed", Some("boom"), progress(0, 3, 0)),
         ];
         for record in &records {
             journal.append(record).expect("appends");
@@ -284,7 +343,7 @@ mod tests {
             cell_record(1, &cell_doc(2)),
             preempt_record(1),
             start_record(2),
-            done_record(2, "failed", Some("boom")),
+            done_record(2, "failed", Some("boom"), progress(0, 2, 0)),
             // Orphan: no submit record for job 9 (crash window).
             cell_record(9, &cell_doc(0)),
         ];
@@ -296,7 +355,11 @@ mod tests {
         assert_eq!(one.priority, Priority::High);
         assert_eq!(one.client, "alice");
         assert_eq!(one.idempotency_key.as_deref(), Some("k1"));
-        assert_eq!(one.cells.len(), 2, "cell 0 deduplicated");
+        assert_eq!(
+            one.cells.len(),
+            3,
+            "every cell record; the restore filter drops the duplicate"
+        );
         assert_eq!(one.preemptions, 1);
         assert!(one.started);
         assert!(one.terminal.is_none());
@@ -318,8 +381,7 @@ mod tests {
             start_record(1),
             cell_record(1, &cell_doc(0)),
             submit_record(2, &demo_spec(), Priority::Low, "ci", None),
-            done_record(2, "done", None),
-            evict_record(2),
+            done_record(2, "done", None, progress(0, 0, 0)),
         ] {
             journal.append(&record).expect("appends");
         }
@@ -338,5 +400,58 @@ mod tests {
         assert_eq!(jobs[0].cells.len(), 2, "compacted cell + new append");
         assert_eq!(jobs[1].terminal, Some(("done".to_string(), None)));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_done_record_without_counters_still_replays() {
+        let trials = |n: usize| Json::Arr(vec![Json::Null; n]);
+        let cell = |index: u64, n: usize| {
+            Json::obj([("cell", Json::Num(index as f64)), ("trials", trials(n))])
+        };
+        let records = vec![
+            submit_record(1, &demo_spec(), Priority::Normal, "ci", None),
+            start_record(1),
+            cell_record(1, &cell(0, 2)),
+            preempt_record(1),
+            cell_record(1, &cell(1, 3)),
+            bare_done_record(1, "done"),
+        ];
+        let jobs = recover(&records);
+        assert_eq!(jobs[0].terminal, Some(("done".to_string(), None)));
+        assert_eq!(jobs[0].progress, progress(2, 2, 5), "counted from cells");
+
+        // Compaction drops the cells but keeps the counters and the
+        // preemption, so a second replay reads the same status.
+        let compact = compaction_records(&jobs);
+        assert!(compact
+            .iter()
+            .all(|r| r.get("kind") != Some(&Json::Str("cell".into()))));
+        let again = recover(&compact);
+        assert_eq!(again[0].progress, progress(2, 2, 5));
+        assert_eq!(again[0].preemptions, 1);
+        assert_eq!(again[0].terminal, jobs[0].terminal);
+        assert_eq!(compaction_records(&again), compact);
+    }
+
+    #[test]
+    fn an_evict_record_replays_as_a_no_op() {
+        let records = vec![
+            submit_record(1, &demo_spec(), Priority::Normal, "ci", None),
+            start_record(1),
+            cell_record(1, &cell_doc(0)),
+            done_record(1, "done", None, progress(1, 1, 2)),
+        ];
+        let mut with_evict = records.clone();
+        with_evict.push(Json::obj([
+            ("kind", Json::Str("evict".into())),
+            ("job", Json::Str("1".into())),
+        ]));
+        let jobs = recover(&with_evict);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].progress, progress(1, 1, 2));
+        assert_eq!(
+            compaction_records(&jobs),
+            compaction_records(&recover(&records))
+        );
     }
 }

@@ -656,6 +656,107 @@ fn a_job_interrupted_by_a_drain_timeout_resumes_bit_identically() {
 }
 
 #[test]
+fn terminal_job_statuses_read_the_same_after_restarts() {
+    let dir = temp_dir("status_restarts");
+    let mut config = ServeConfig::fast_for_tests();
+    config.state_dir = Some(dir.clone());
+    let server = Server::start(config.clone()).expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let sta = client.ping().expect("pong").sta_limit_mhz;
+
+    let done = client.submit(&two_cell_def(sta)).expect("accepted");
+    client.wait(done.job).expect("terminal");
+    // Cancelled by the client once two of its eight cells are done.
+    let cancelled = client
+        .submit(&long_def("cancel-mid-run", sta, 8, 200))
+        .expect("accepted");
+    while client
+        .status(cancelled.job)
+        .expect("status")
+        .completed_cells
+        < 2
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    client.cancel(cancelled.job).expect("cancels");
+    client.wait(cancelled.job).expect("terminal");
+    let before = [done.job, cancelled.job].map(|job| client.status(job).expect("status"));
+    assert_eq!(before[0].state, JobState::Done);
+    assert_eq!(before[1].state, JobState::Cancelled);
+    assert!(before[1].completed_cells < 8, "the cancel landed mid-run");
+    client.shutdown().expect("bye");
+    server.join();
+
+    for restart in 1..=2 {
+        let server = Server::start(config.clone()).expect("daemon restarts");
+        let mut client = Client::connect(server.local_addr()).expect("connects");
+        for expected in &before {
+            let status = client.status(expected.job).expect("job survived");
+            assert!(status.evicted, "result bytes are not journaled");
+            let expected = sfi_serve::jobs::JobStatus {
+                evicted: true,
+                ..expected.clone()
+            };
+            assert_eq!(status, expected, "after restart {restart}");
+        }
+        client.shutdown().expect("bye");
+        server.join();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resumed_job_streams_the_cells_of_its_result_document() {
+    let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+    let def = two_cell_def(study.sta_limit_mhz(0.7));
+    let (spec, direct) = direct_run(&def);
+
+    // A journal left by a daemon that died mid-job, whose last cell
+    // record lost a trial: the cell is not one the engine can produce.
+    let dir = temp_dir("truncated_cell");
+    let mut truncated = direct.cells[0].clone();
+    truncated.trials.pop();
+    let journal =
+        Journal::open(&dir.join(sfi_serve::journal::JOURNAL_FILE)).expect("journal opens");
+    for record in [
+        sfi_serve::journal::submit_record(1, &def.to_json(), Priority::Normal, "ci", None),
+        sfi_serve::journal::start_record(1),
+        sfi_serve::journal::cell_record(1, &checkpoint::cell_to_json(&truncated)),
+    ] {
+        journal.append(&record).expect("appends");
+    }
+    drop(journal);
+
+    let mut config = ServeConfig::fast_for_tests();
+    config.state_dir = Some(dir.clone());
+    let server = Server::start(config).expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let status = client.wait(1).expect("the journaled job runs");
+    assert_eq!(status.state, JobState::Done);
+
+    let mut streamed = Vec::new();
+    client
+        .stream(1, |cell| streamed.push(cell.clone()))
+        .expect("streams");
+    streamed.sort_by_key(|cell| cell.get("cell").and_then(Json::as_u64));
+    let document = client.result(1).expect("result");
+    let cells = document.get("cells").and_then(Json::as_arr).expect("cells");
+    let expected = direct.to_json(&spec);
+    let expected_cells = expected.get("cells").and_then(Json::as_arr).expect("cells");
+    let text = |cells: &[Json]| cells.iter().map(Json::to_string).collect::<Vec<_>>();
+    assert_eq!(text(&streamed), text(cells), "stream and result agree");
+    assert_eq!(text(cells), text(expected_cells), "and equal a clean run");
+    assert_eq!(document.to_string(), expected.to_string());
+    assert_eq!(
+        status.executed_trials, 12,
+        "the trial budget, simulated once"
+    );
+    client.shutdown().expect("bye");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_requests_get_error_frames_and_the_connection_survives() {
     let server = start_fast_server();
     let stream = TcpStream::connect(server.local_addr()).expect("connects");
