@@ -147,7 +147,8 @@ impl ExperimentArgs {
     }
 
     /// Runs `spec` on [`ExperimentArgs::engine`].  With `--checkpoint
-    /// FILE`, the cells FILE logged for this exact spec are restored and
+    /// FILE`, the cells FILE logged for this exact spec, its inputs and
+    /// `study` are restored and
     /// every newly simulated cell is appended to it as it finishes; a
     /// checkpoint that cannot be opened or written is a warning, never the
     /// end of the campaign.
@@ -156,7 +157,7 @@ impl ExperimentArgs {
         let Some(path) = &self.checkpoint else {
             return engine.run(study, spec);
         };
-        match checkpoint::open_log(Path::new(path), spec) {
+        match checkpoint::open_log(Path::new(path), spec, study.config()) {
             Ok((log, cells)) => engine
                 .with_seed_cells(cells)
                 .with_progress(Arc::new(move |cell: &CellResult| {

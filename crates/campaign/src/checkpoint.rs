@@ -1,13 +1,16 @@
 //! Campaign checkpoints and the result document.
 //!
-//! A checkpoint is a [`Journal`] log: one header record
-//! `{"fingerprint", "name", "seed", "version"}` followed by one record per
+//! A checkpoint is a [`Journal`] log: one header record — the spec's
+//! [`header`] plus an `inputs` member binding it to the benchmarks' inputs
+//! ([`CampaignSpec::inputs_digest`]) and the characterized study
+//! ([`CaseStudyConfig::fingerprint`]) — followed by one record per
 //! completed cell, appended (and fsync'd) as the cell finishes, so a
 //! checkpoint of N cells is O(N) bytes.  [`open_log`] replays it, keeps
-//! the cells only if the header matches the spec exactly — a checkpoint of
-//! a different or edited spec, a torn file or garbage starts a fresh log
-//! rather than mixing incompatible data into the results — and compacts
-//! the file.  The restored cells seed the engine through
+//! the cells only if the header matches exactly — a checkpoint of a
+//! different or edited spec, other inputs or another study, a torn file
+//! or garbage starts a fresh log rather than mixing incompatible data
+//! into the results — and compacts the file.  The restored cells seed the
+//! engine through
 //! [`CampaignEngine::with_seed_cells`](crate::CampaignEngine::with_seed_cells);
 //! its progress hook appends the rest.
 //!
@@ -25,6 +28,8 @@ use crate::journal::{self, Journal};
 use crate::json::Json;
 use crate::spec::CampaignSpec;
 use crate::stats::CellStats;
+use sfi_core::cache::Fnv;
+use sfi_core::study::CaseStudyConfig;
 use sfi_core::TrialResult;
 use std::io;
 use std::path::Path;
@@ -103,17 +108,36 @@ pub fn header(spec: &CampaignSpec) -> Json {
     ])
 }
 
-/// Opens the checkpoint log of `spec` at `path`, returning it (ready for
-/// appending cell records) with the cells it restores.
+/// The header record of `spec`'s checkpoint log under `study`: the
+/// [`header`] plus an `inputs` member, the FNV-1a hash of
+/// [`CampaignSpec::inputs_digest`] and [`CaseStudyConfig::fingerprint`].
+fn log_header(spec: &CampaignSpec, study: &CaseStudyConfig) -> Json {
+    let mut inputs = Fnv::default();
+    inputs.u64(spec.inputs_digest());
+    inputs.u64(study.fingerprint());
+    let mut header = header(spec);
+    if let Json::Obj(members) = &mut header {
+        members.insert("inputs".to_string(), Json::Str(inputs.finish().to_string()));
+    }
+    header
+}
+
+/// Opens the checkpoint log of `spec` simulated under `study` at `path`,
+/// returning it (ready for appending cell records) with the cells it
+/// restores.
 ///
-/// Restored cells are those after a header matching `spec` that decode
-/// and pass [`restorable_cells`].  The log is
+/// Restored cells are those after a header matching `spec`, its inputs
+/// and `study` that decode and pass [`restorable_cells`].  The log is
 /// then rewritten to exactly that header and those cells, so a missing
-/// file, a torn tail, a foreign fingerprint, an old JSON-document
-/// checkpoint or garbage all leave a fresh log behind.  Errors are I/O
-/// failures only.
-pub fn open_log(path: &Path, spec: &CampaignSpec) -> io::Result<(Journal, Vec<CellResult>)> {
-    let header = header(spec);
+/// file, a torn tail, a foreign fingerprint, other inputs or another
+/// study, an old JSON-document checkpoint or garbage all leave a fresh log
+/// behind.  Errors are I/O failures only.
+pub fn open_log(
+    path: &Path,
+    spec: &CampaignSpec,
+    study: &CaseStudyConfig,
+) -> io::Result<(Journal, Vec<CellResult>)> {
+    let header = log_header(spec, study);
     let records = journal::replay_file(path)?;
     let cells = match records.split_first() {
         Some((first, rest)) if *first == header => {
@@ -257,13 +281,14 @@ mod tests {
     fn a_log_is_its_header_plus_one_framed_record_per_cell() {
         let path = temp_path("size");
         let spec = two_cell_spec(1);
-        let (log, restored) = open_log(&path, &spec).expect("opens");
+        let study = CaseStudyConfig::fast_for_tests();
+        let (log, restored) = open_log(&path, &spec, &study).expect("opens");
         assert!(restored.is_empty());
         for index in [1, 0] {
             log.append(&cell_to_json(&cell(index))).expect("appends");
         }
         drop(log);
-        let expected = journal::frame(&header(&spec)).len()
+        let expected = journal::frame(&log_header(&spec, &study)).len()
             + journal::frame(&cell_to_json(&cell(1))).len()
             + journal::frame(&cell_to_json(&cell(0))).len();
         assert_eq!(
@@ -271,7 +296,7 @@ mod tests {
             expected
         );
 
-        let (_, restored) = open_log(&path, &spec).expect("reopens");
+        let (_, restored) = open_log(&path, &spec, &study).expect("reopens");
         let indices: Vec<usize> = restored.iter().map(|c| c.cell).collect();
         assert_eq!(indices, vec![1, 0], "log order");
         assert!(restored.iter().all(|c| c.from_checkpoint));
@@ -288,10 +313,11 @@ mod tests {
     fn foreign_old_and_garbage_files_start_a_fresh_log() {
         let path = temp_path("fresh");
         let spec = two_cell_spec(1);
-        let fresh_len = journal::frame(&header(&spec)).len() as u64;
+        let study = CaseStudyConfig::fast_for_tests();
+        let fresh_len = journal::frame(&log_header(&spec, &study)).len() as u64;
 
         // A log of another spec (changed seed, so another fingerprint).
-        let (log, _) = open_log(&path, &two_cell_spec(2)).expect("opens");
+        let (log, _) = open_log(&path, &two_cell_spec(2), &study).expect("opens");
         log.append(&cell_to_json(&cell(0))).expect("appends");
         drop(log);
         // An old JSON-document checkpoint of this very spec.
@@ -311,7 +337,7 @@ mod tests {
             Vec::new(),
         ] {
             std::fs::write(&path, &bytes).expect("writes");
-            let (_, restored) = open_log(&path, &spec).expect("never an error");
+            let (_, restored) = open_log(&path, &spec, &study).expect("never an error");
             assert!(restored.is_empty());
             assert_eq!(std::fs::metadata(&path).expect("exists").len(), fresh_len);
         }
@@ -322,7 +348,8 @@ mod tests {
     fn unrestorable_and_duplicate_cells_are_dropped() {
         let path = temp_path("filter");
         let spec = two_cell_spec(1);
-        let (log, _) = open_log(&path, &spec).expect("opens");
+        let study = CaseStudyConfig::fast_for_tests();
+        let (log, _) = open_log(&path, &spec, &study).expect("opens");
         let mut short = cell(0);
         short.trials.pop();
         let mut out_of_range = cell(1);
@@ -333,7 +360,7 @@ mod tests {
         log.append(&Json::Str("not a cell".into()))
             .expect("appends");
         drop(log);
-        let (_, restored) = open_log(&path, &spec).expect("reopens");
+        let (_, restored) = open_log(&path, &spec, &study).expect("reopens");
         let indices: Vec<usize> = restored.iter().map(|c| c.cell).collect();
         assert_eq!(indices, vec![1, 0]);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());

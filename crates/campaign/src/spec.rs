@@ -4,6 +4,7 @@
 use crate::stats::CellStats;
 use sfi_core::cache::Fnv;
 use sfi_core::FaultModel;
+use sfi_cpu::Memory;
 use sfi_fault::OperatingPoint;
 use sfi_kernels::Benchmark;
 use std::ops::Range;
@@ -319,6 +320,30 @@ impl CampaignSpec {
         }
         h.finish()
     }
+
+    /// A digest of the inputs the cells compute on, beyond the structure
+    /// [`CampaignSpec::fingerprint`] covers (FNV-1a over each benchmark's
+    /// program words, fault-injection window, data-memory size and the
+    /// data-memory image `initialize` leaves in a fresh memory).
+    /// Checkpoint logs store it, so a log never resumes the cells of
+    /// another program or input set with the same structure.
+    pub fn inputs_digest(&self) -> u64 {
+        let mut h = Fnv::default();
+        h.u64(self.benchmarks.len() as u64);
+        for b in &self.benchmarks {
+            let words = b.program().to_words();
+            let window = b.fi_window();
+            let mut memory = Memory::new(b.dmem_words());
+            b.initialize(&mut memory);
+            for part in [&words[..], &[window.start, window.end][..], memory.words()] {
+                h.u64(part.len() as u64);
+                for word in part {
+                    h.bytes(&word.to_le_bytes());
+                }
+            }
+        }
+        h.finish()
+    }
 }
 
 #[cfg(test)]
@@ -368,9 +393,9 @@ mod tests {
         assert_eq!(spec.cells()[2].point.noise().sigma_mv(), 10.0);
     }
 
-    /// The fingerprint names serve checkpoint logs (`job-{fp}.log`) on
-    /// disk and heads every checkpoint log, so it must not move: a
-    /// changed value orphans every resumable job.
+    /// The fingerprint heads every checkpoint log and every result
+    /// document, so it must not move: a changed value orphans every
+    /// resumable checkpoint.
     #[test]
     fn fingerprint_is_pinned() {
         let mut spec = spec_with_cells();

@@ -28,11 +28,11 @@ options:
                              (0 or omitted = retain everything until shutdown)
   --cache-dir DIR            persistent characterization cache (restarts skip the DTA
                              rebuild)
-  --checkpoint-dir DIR       per-job campaign checkpoints (identical re-submissions resume)
-  --state-dir DIR            durable job journal: every transition is fsync'd here, and a
-                             restarted daemon replays it — queued jobs come back queued,
-                             interrupted jobs resume from their completed cells with
-                             bit-identical results
+  --state-dir DIR            durable job journal: every transition and completed cell is
+                             fsync'd here, and a restarted daemon replays it — queued jobs
+                             come back queued, interrupted jobs resume from their completed
+                             cells with bit-identical results, and a job submitted under
+                             another study fails instead of resuming
   --drain-timeout S          seconds a 'drain' waits for running jobs before stopping
                              them and exiting anyway (default 30)
   --conn-timeout S           per-connection read/write deadline in seconds; silent peers
@@ -120,9 +120,6 @@ fn main() {
                 config.result_cap_bytes = (n > 0).then_some(n);
             }
             "--cache-dir" => config.cache_dir = Some(PathBuf::from(value(&mut i, "--cache-dir"))),
-            "--checkpoint-dir" => {
-                config.checkpoint_dir = Some(PathBuf::from(value(&mut i, "--checkpoint-dir")))
-            }
             "--state-dir" => config.state_dir = Some(PathBuf::from(value(&mut i, "--state-dir"))),
             "--drain-timeout" => {
                 config.drain_timeout_seconds = nonnegative(&argv, &mut i, "--drain-timeout")

@@ -43,6 +43,11 @@
 //! Above the cap, the least-recently-fetched entries are evicted; fetching
 //! an evicted result reports `result_evicted` (the job's status survives
 //! eviction and restarts, only the cells are dropped).
+//!
+//! The only durable copy of a cell is its journal record (with
+//! `--state-dir`), kept while the job is live: it seeds the job when a
+//! restarted daemon resumes it.  A finished job's cells are not kept
+//! across restarts, so its result reads `result_evicted` afterwards.
 
 use crate::journal::Progress;
 use sfi_campaign::engine::restorable_cells;
@@ -52,9 +57,8 @@ use sfi_core::json::Json;
 use sfi_core::CaseStudy;
 use sfi_obs::clock;
 use sfi_obs::Event;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -207,9 +211,6 @@ struct JobEntry {
     /// Completed cells, completion order (dropped on eviction): stream
     /// frames, result document and resume seeds.
     cells: Vec<CellResult>,
-    /// Cell indices already present in `cells` (so re-announced seeded
-    /// cells are not streamed twice).
-    seen_cells: BTreeSet<usize>,
     error: Option<String>,
     /// Cooperative stop flag of the current (or next) run; replaced with
     /// a fresh flag when the job is requeued after a preemption.
@@ -255,7 +256,6 @@ impl JobEntry {
             priority,
             client: client.to_string(),
             cells: Vec::new(),
-            seen_cells: BTreeSet::new(),
             error: None,
             cancel: Arc::new(AtomicBool::new(false)),
             user_cancelled: false,
@@ -412,6 +412,8 @@ pub struct JobTable {
     limits: TableLimits,
     /// The durable job journal, when the daemon runs with `--state-dir`.
     journal: Option<Arc<Journal>>,
+    /// The study fingerprint (decimal) every journaled `submit` names.
+    study: String,
     /// Wakes the scheduler when a job is queued, a slot frees up or the
     /// daemon stops.
     scheduler_wake: Condvar,
@@ -477,15 +479,19 @@ impl JobTable {
             }),
             limits,
             journal: None,
+            study: String::new(),
             scheduler_wake: Condvar::new(),
             update: Condvar::new(),
         }
     }
 
     /// Attaches the durable job journal: every submit/start/cell/
-    /// preempt/done transition is appended (and fsync'd) from now on.
-    pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
+    /// preempt/done transition is appended (and fsync'd) from now on, and
+    /// every `submit` record names `study`, the fingerprint of the
+    /// characterized study the daemon serves.
+    pub fn with_journal(mut self, journal: Arc<Journal>, study: u64) -> Self {
         self.journal = Some(journal);
+        self.study = study.to_string();
         self
     }
 
@@ -577,13 +583,8 @@ impl JobTable {
         // precedes the job's cell records (the scheduler cannot dispatch
         // the job until the lock is released).
         if let (Some(journal), Some(doc)) = (&self.journal, spec_doc) {
-            journal.append_best_effort(&crate::journal::submit_record(
-                id,
-                doc,
-                priority,
-                client,
-                idempotency_key,
-            ));
+            let record = crate::journal::submit_record(id, doc, priority, client, idempotency_key);
+            journal.append_best_effort(&crate::journal::with_study(record, &self.study));
         }
         self.scheduler_wake.notify_all();
         Ok(id)
@@ -723,11 +724,16 @@ impl JobTable {
 
     /// Restores one journaled job during restart recovery.
     ///
-    /// A live job comes back queued with its [restorable](restorable_cells)
-    /// journaled cells as resume seeds.  A terminal job, or a live one
-    /// whose `spec` no longer instantiates, keeps no cells and its
-    /// journaled counters, and reports `evicted`.
-    pub fn restore(&self, job: crate::journal::RecoveredJob, spec: Option<CampaignSpec>) {
+    /// A live job is re-admitted by `admit` and comes back queued with its
+    /// [restorable](restorable_cells) journaled cells as resume seeds; one
+    /// `admit` refuses comes back failed with the reason and no cells.  A
+    /// terminal job keeps its journaled counters but no cells.  Both
+    /// report `evicted`.
+    pub fn restore(
+        &self,
+        job: crate::journal::RecoveredJob,
+        admit: impl FnOnce(&crate::journal::RecoveredJob) -> Result<CampaignSpec, String>,
+    ) {
         let mut inner = self.lock();
         let id = job.id;
         inner.next_id = inner.next_id.max(id + 1);
@@ -742,34 +748,39 @@ impl JobTable {
                 .map(|s| (s, error.clone()))
         });
         let now = clock::now_micros();
-        let mut entry = match (terminal, spec) {
-            (None, Some(spec)) => {
-                let mut entry = JobEntry::queued(spec, job.priority, &job.client, now);
-                let decoded = job.cells.iter().filter_map(checkpoint::cell_from_json);
-                entry.cells = restorable_cells(&entry.spec, decoded);
-                entry.seen_cells = entry.cells.iter().map(|cell| cell.cell).collect();
-                entry.progress.completed_cells = entry.cells.len();
-                entry.progress.executed_trials = entry.cells.iter().map(|c| c.trials.len()).sum();
-                inner.queues[job.priority.index()].push_back(id);
-                entry
-            }
-            // A live job whose spec no longer instantiates (e.g. the
-            // daemon restarted against a different study): keep the id
-            // and status, but fail it instead of wedging the restart.
-            (terminal, _) => {
-                let (state, error) = terminal.unwrap_or_else(|| {
-                    let error = "journal recovery could not re-instantiate the campaign";
-                    (JobState::Failed, Some(error.to_string()))
-                });
-                let empty = CampaignSpec::new(String::new(), 0);
-                JobEntry {
-                    state,
-                    error,
-                    progress: job.progress,
-                    evicted: true,
-                    ..JobEntry::queued(empty, job.priority, &job.client, now)
+        // A job that will not run here: its status, no cells.
+        let retired = |state, error, progress| JobEntry {
+            state,
+            error,
+            progress,
+            evicted: true,
+            ..JobEntry::queued(
+                CampaignSpec::new(String::new(), 0),
+                job.priority,
+                &job.client,
+                now,
+            )
+        };
+        let mut entry = match terminal {
+            Some((state, error)) => retired(state, error, job.progress),
+            None => match admit(&job) {
+                Ok(spec) => {
+                    let mut entry = JobEntry::queued(spec, job.priority, &job.client, now);
+                    let decoded = job.cells.iter().filter_map(checkpoint::cell_from_json);
+                    entry.cells = restorable_cells(&entry.spec, decoded);
+                    entry.progress.completed_cells = entry.cells.len();
+                    entry.progress.executed_trials =
+                        entry.cells.iter().map(|c| c.trials.len()).sum();
+                    inner.queues[job.priority.index()].push_back(id);
+                    entry
                 }
-            }
+                // Keep the id and status, but fail the job instead of
+                // wedging the restart or resuming foreign cells.
+                Err(reason) => {
+                    let error = format!("journal recovery could not re-admit the job: {reason}");
+                    retired(JobState::Failed, Some(error), Progress::default())
+                }
+            },
         };
         entry.preemptions = job.preemptions;
         let (state, cells) = (entry.state, entry.progress.completed_cells);
@@ -865,10 +876,6 @@ pub struct SchedulerConfig {
     /// Maximum number of jobs running at once; each gets an equal share
     /// of the thread budget (at least one thread).
     pub max_concurrent_jobs: usize,
-    /// Directory for per-job campaign checkpoint logs
-    /// (`job-<fingerprint>.log`); identical re-submitted campaigns resume
-    /// instead of recomputing.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl Default for SchedulerConfig {
@@ -876,7 +883,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             threads: None,
             max_concurrent_jobs: 1,
-            checkpoint_dir: None,
         }
     }
 }
@@ -1087,26 +1093,8 @@ fn run_job(
     id: u64,
     spec: CampaignSpec,
     cancel: Arc<AtomicBool>,
-    mut seeds: Vec<CellResult>,
+    seeds: Vec<CellResult>,
 ) {
-    // The per-job checkpoint log adds its cells under the journal seeds
-    // (the engine keeps the first seed of each cell).
-    let log = config.checkpoint_dir.as_ref().and_then(|dir| {
-        let path = dir.join(format!("job-{:016x}.log", spec.fingerprint()));
-        match checkpoint::open_log(&path, &spec) {
-            Ok((log, cells)) => {
-                seeds.extend(cells);
-                Some(log)
-            }
-            Err(err) => {
-                eprintln!(
-                    "sfi-serve: warning: checkpoint {} unusable: {err}",
-                    path.display()
-                );
-                None
-            }
-        }
-    });
     let engine = CampaignEngine::new()
         .with_threads(config.threads_per_job())
         .with_cancel(cancel)
@@ -1114,34 +1102,24 @@ fn run_job(
         .with_trace_job(id);
     let hook_table = table.clone();
     let engine = engine.with_progress(Arc::new(move |cell: &CellResult| {
-        let mut fresh = false;
+        // The seeds are this job's own cells, re-announced on resume: the
+        // job already holds, streamed and journaled them.
+        if cell.from_checkpoint {
+            return;
+        }
         {
             let mut inner = hook_table.lock();
             if let Some(entry) = inner.jobs.get_mut(&id) {
-                // Seeded (and checkpoint-restored) cells the client
-                // already streamed are announced again on resume;
-                // `seen_cells` keeps every cell exactly once in the
-                // stream (and exactly once in the journal).
-                fresh = entry.seen_cells.insert(cell.cell);
-                if fresh {
-                    entry.cells.push(cell.clone());
-                    entry.progress.completed_cells += 1;
-                }
+                entry.cells.push(cell.clone());
+                entry.progress.completed_cells += 1;
             }
             hook_table.update.notify_all();
         }
-        // Encoding and the fsyncs happen outside the table lock: a slow
+        // Encoding and the fsync happen outside the table lock: a slow
         // disk must not stall status/stream handlers.
-        let journal = hook_table.journal().filter(|_| fresh);
-        let log = log.as_ref().filter(|_| !cell.from_checkpoint);
-        if journal.is_some() || log.is_some() {
+        if let Some(journal) = hook_table.journal() {
             let doc = checkpoint::cell_to_json(cell);
-            if let Some(journal) = journal {
-                journal.append_best_effort(&crate::journal::cell_record(id, &doc));
-            }
-            if let Some(log) = log {
-                log.append_best_effort(&doc);
-            }
+            journal.append_best_effort(&crate::journal::cell_record(id, &doc));
         }
     }));
 
@@ -1225,12 +1203,10 @@ fn run_job(
                 terminal = Some((entry.state, entry.error.clone(), entry.progress));
             }
             // A terminal job never runs again: drop the instantiated spec
-            // (benchmark tables hold kernel input data) and the resume
-            // index, and account every byte it still retains — the
-            // streamed cells of cancelled and failed jobs count toward the
-            // cap just like done results.
+            // (benchmark tables hold kernel input data), and account every
+            // byte it still retains — the streamed cells of cancelled and
+            // failed jobs count toward the cap just like done results.
             entry.spec = CampaignSpec::new(String::new(), 0);
-            entry.seen_cells = BTreeSet::new();
             entry.retained_bytes = retained;
             let run_s = entry.run_accum_us as f64 / 1e6;
             sfi_obs::metrics().job_run_seconds.observe(run_s);
@@ -1459,6 +1435,7 @@ mod tests {
                 priority: Priority::High,
                 client: "alice".into(),
                 idempotency_key: Some("k1".into()),
+                study: None,
                 // A replayed duplicate: the restore filter keeps the first.
                 cells: vec![cell.clone(), cell],
                 preemptions: 2,
@@ -1466,7 +1443,7 @@ mod tests {
                 terminal: None,
                 progress: Progress::default(),
             },
-            Some(spec),
+            |_| Ok(spec),
         );
         table.restore(
             RecoveredJob {
@@ -1475,13 +1452,14 @@ mod tests {
                 priority: Priority::Normal,
                 client: "bob".into(),
                 idempotency_key: None,
+                study: None,
                 cells: Vec::new(),
                 preemptions: 0,
                 started: true,
                 terminal: Some(("failed".into(), Some("boom".into()))),
                 progress: Progress::default(),
             },
-            None,
+            |_| unreachable!("a terminal job is not re-admitted"),
         );
 
         let live = table.status(5).expect("restored");

@@ -14,7 +14,10 @@
 //! `done` record carries the job's final [`Progress`], so a terminal job
 //! needs no `cell` records: compaction drops them, and its status reads
 //! the same after any number of restarts (only `evicted` turns true,
-//! since result bytes are not journaled).
+//! since result bytes are not journaled).  A `submit` record names the
+//! study the job was submitted under (`with_study`): a live job whose
+//! record names another study than the restarted daemon's is restored as
+//! failed, since its cells came from another characterization.
 //!
 //! Determinism makes the guarantee strong: a recovered campaign produces a
 //! result document byte-identical to an uninterrupted run.  Cell payloads
@@ -53,6 +56,17 @@ pub fn submit_record(
         members.push(("key", Json::Str(key.into())));
     }
     Json::obj(members)
+}
+
+/// `record` (a [`submit_record`]) with a `study` member: the fingerprint
+/// of the `CaseStudyConfig` the job was submitted under, in decimal.
+/// Recovery fails a live job whose record names another study than the
+/// daemon's; a record without the member is trusted.
+pub(crate) fn with_study(mut record: Json, study: &str) -> Json {
+    if let Json::Obj(members) = &mut record {
+        members.insert("study".to_string(), Json::Str(study.into()));
+    }
+    record
 }
 
 /// A `start` record: the job was dispatched to the engine.
@@ -126,6 +140,9 @@ pub struct RecoveredJob {
     pub client: String,
     /// The idempotency key the submit carried, if any.
     pub idempotency_key: Option<String>,
+    /// The study fingerprint (decimal) the submit record names;
+    /// `None` in journals written before records carried it.
+    pub study: Option<String>,
     /// Every `cell` record's cell (campaign cell codec), journal order.
     /// A live job's resume seeds once decoded and passed through
     /// `sfi_campaign::engine::restorable_cells`.
@@ -175,6 +192,10 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
                         .unwrap_or("anonymous")
                         .to_string(),
                     idempotency_key: record.get("key").and_then(Json::as_str).map(str::to_string),
+                    study: record
+                        .get("study")
+                        .and_then(Json::as_str)
+                        .map(str::to_string),
                     cells: Vec::new(),
                     preemptions: 0,
                     started: false,
@@ -237,13 +258,17 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
 pub fn compaction_records(jobs: &[RecoveredJob]) -> Vec<Json> {
     let mut records = Vec::new();
     for job in jobs {
-        records.push(submit_record(
+        let submit = submit_record(
             job.id,
             &job.spec,
             job.priority,
             &job.client,
             job.idempotency_key.as_deref(),
-        ));
+        );
+        records.push(match &job.study {
+            Some(study) => with_study(submit, study),
+            None => submit,
+        });
         for _ in 0..job.preemptions {
             records.push(preempt_record(job.id));
         }
@@ -431,6 +456,21 @@ mod tests {
         assert_eq!(again[0].preemptions, 1);
         assert_eq!(again[0].terminal, jobs[0].terminal);
         assert_eq!(compaction_records(&again), compact);
+    }
+
+    #[test]
+    fn the_study_of_a_submit_record_survives_compaction() {
+        let records = vec![
+            with_study(
+                submit_record(1, &demo_spec(), Priority::Normal, "ci", None),
+                "42",
+            ),
+            submit_record(2, &demo_spec(), Priority::Normal, "ci", None),
+        ];
+        let jobs = recover(&records);
+        assert_eq!(jobs[0].study.as_deref(), Some("42"));
+        assert_eq!(jobs[1].study, None, "a record without the member");
+        assert_eq!(compaction_records(&jobs), records);
     }
 
     #[test]

@@ -36,7 +36,10 @@
 //! campaign.
 
 use crate::jobs::{JobState, JobStatus, Priority};
-use crate::wire::{model_from_json, model_to_json, CampaignDef, WireError, MAX_CLIENT_ID_BYTES};
+use crate::wire::{
+    get, get_bool, get_finite, get_str, get_u64, model_from_json, model_to_json, CampaignDef,
+    WireError, MAX_CLIENT_ID_BYTES,
+};
 use sfi_core::json::Json;
 use sfi_core::FaultModel;
 use std::io::{self, BufRead, Write};
@@ -200,23 +203,15 @@ impl PoffRequest {
 
     fn from_json(value: &Json) -> Result<Self, WireError> {
         let req = PoffRequest {
-            benchmark: crate::wire::BenchmarkDef::from_json(
-                value
-                    .get("benchmark")
-                    .ok_or_else(|| WireError("missing member 'benchmark'".into()))?,
-            )?,
-            model: model_from_json(
-                value
-                    .get("model")
-                    .ok_or_else(|| WireError("missing member 'model'".into()))?,
-            )?,
-            vdd: finite(value, "vdd")?,
-            noise_sigma_mv: finite(value, "noise_sigma_mv")?,
-            lo_mhz: finite(value, "lo_mhz")?,
-            hi_mhz: finite(value, "hi_mhz")?,
-            resolution_mhz: finite(value, "resolution_mhz")?,
-            trials: u64_member(value, "trials")? as usize,
-            seed: u64_member(value, "seed")?,
+            benchmark: crate::wire::BenchmarkDef::from_json(get(value, "benchmark")?)?,
+            model: model_from_json(get(value, "model")?)?,
+            vdd: get_finite(value, "vdd")?,
+            noise_sigma_mv: get_finite(value, "noise_sigma_mv")?,
+            lo_mhz: get_finite(value, "lo_mhz")?,
+            hi_mhz: get_finite(value, "hi_mhz")?,
+            resolution_mhz: get_finite(value, "resolution_mhz")?,
+            trials: get_u64(value, "trials")? as usize,
+            seed: get_u64(value, "seed")?,
         };
         if req.vdd <= 0.0 {
             return Err(WireError("'vdd' must be positive".into()));
@@ -242,35 +237,6 @@ impl PoffRequest {
     }
 }
 
-fn finite(value: &Json, key: &str) -> Result<f64, WireError> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| WireError(format!("'{key}' must be a finite number")))
-}
-
-fn u64_member(value: &Json, key: &str) -> Result<u64, WireError> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| WireError(format!("'{key}' must be an unsigned integer")))
-}
-
-fn str_member<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError(format!("'{key}' must be a string")))
-}
-
-fn bool_member(value: &Json, key: &str) -> Result<bool, WireError> {
-    value
-        .get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| WireError(format!("'{key}' must be a boolean")))
-}
-
 /// Encodes `None` as JSON `null` and `Some(n)` as a number.
 fn opt_num(value: Option<usize>) -> Json {
     match value {
@@ -281,13 +247,12 @@ fn opt_num(value: Option<usize>) -> Json {
 
 /// Decodes a member that is either `null` or an unsigned integer.
 fn opt_u64_member(value: &Json, key: &str) -> Result<Option<u64>, WireError> {
-    match value.get(key) {
-        Some(Json::Null) => Ok(None),
-        Some(v) => v
+    match get(value, key)? {
+        Json::Null => Ok(None),
+        v => v
             .as_u64()
             .map(Some)
             .ok_or_else(|| WireError(format!("'{key}' must be null or an unsigned integer"))),
-        None => Err(WireError(format!("missing member '{key}'"))),
     }
 }
 
@@ -431,11 +396,7 @@ impl Request {
         match kind {
             "ping" => Ok(Request::Ping),
             "submit" => {
-                let spec = CampaignDef::from_json(
-                    value
-                        .get("spec")
-                        .ok_or_else(|| WireError("missing member 'spec'".into()))?,
-                )?;
+                let spec = CampaignDef::from_json(get(value, "spec")?)?;
                 let priority = match value.get("priority") {
                     None => Priority::Normal,
                     Some(p) => {
@@ -484,9 +445,9 @@ impl Request {
                     idempotency_key,
                 }))
             }
-            "status" => Ok(Request::Status(u64_member(value, "job")?)),
-            "stream" => Ok(Request::Stream(u64_member(value, "job")?)),
-            "result" => Ok(Request::Result(u64_member(value, "job")?)),
+            "status" => Ok(Request::Status(get_u64(value, "job")?)),
+            "stream" => Ok(Request::Stream(get_u64(value, "job")?)),
+            "result" => Ok(Request::Result(get_u64(value, "job")?)),
             "poff" => Ok(Request::Poff(PoffRequest::from_json(value)?)),
             "metrics" => Ok(Request::Metrics),
             "events" => {
@@ -521,7 +482,7 @@ impl Request {
                     },
                 })
             }
-            "cancel" => Ok(Request::Cancel(u64_member(value, "job")?)),
+            "cancel" => Ok(Request::Cancel(get_u64(value, "job")?)),
             "drain" => Ok(Request::Drain),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(WireError(format!("unknown request type '{other}'"))),
@@ -627,10 +588,10 @@ impl ServerInfo {
 
     fn from_json(value: &Json) -> Result<Self, WireError> {
         Ok(ServerInfo {
-            v: u64_member(value, "v")?,
-            study_fingerprint: u64_member(value, "study_fingerprint")?,
-            sta_limit_mhz: finite(value, "sta_limit_mhz")?,
-            nominal_vdd: finite(value, "nominal_vdd")?,
+            v: get_u64(value, "v")?,
+            study_fingerprint: get_u64(value, "study_fingerprint")?,
+            sta_limit_mhz: get_finite(value, "sta_limit_mhz")?,
+            nominal_vdd: get_finite(value, "nominal_vdd")?,
             voltages: value
                 .get("voltages")
                 .and_then(Json::as_arr)
@@ -642,17 +603,17 @@ impl ServerInfo {
                         .ok_or_else(|| WireError("'voltages' entries must be numbers".into()))
                 })
                 .collect::<Result<_, _>>()?,
-            characterization_cache_hit: bool_member(value, "characterization_cache_hit")?,
-            jobs: u64_member(value, "jobs")? as usize,
-            running_jobs: u64_member(value, "running_jobs")? as usize,
-            max_concurrent_jobs: u64_member(value, "max_concurrent_jobs")? as usize,
-            threads_per_job: u64_member(value, "threads_per_job")? as usize,
+            characterization_cache_hit: get_bool(value, "characterization_cache_hit")?,
+            jobs: get_u64(value, "jobs")? as usize,
+            running_jobs: get_u64(value, "running_jobs")? as usize,
+            max_concurrent_jobs: get_u64(value, "max_concurrent_jobs")? as usize,
+            threads_per_job: get_u64(value, "threads_per_job")? as usize,
             max_queued_per_client: opt_u64_member(value, "max_queued_per_client")?
                 .map(|n| n as usize),
             max_running_per_client: opt_u64_member(value, "max_running_per_client")?
                 .map(|n| n as usize),
             result_cap_bytes: opt_u64_member(value, "result_cap_bytes")?.map(|n| n as usize),
-            retained_result_bytes: u64_member(value, "retained_result_bytes")? as usize,
+            retained_result_bytes: get_u64(value, "retained_result_bytes")? as usize,
             // Absent on frames from pre-observability daemons: the four
             // members below are additive, so decoding defaults them.
             metrics_enabled: value
@@ -959,33 +920,33 @@ impl Response {
         match kind {
             "pong" => Ok(Response::Pong(ServerInfo::from_json(value)?)),
             "submitted" => Ok(Response::Submitted {
-                job: u64_member(value, "job")?,
-                total_cells: u64_member(value, "total_cells")? as usize,
-                fingerprint: u64_member(value, "fingerprint")?,
+                job: get_u64(value, "job")?,
+                total_cells: get_u64(value, "total_cells")? as usize,
+                fingerprint: get_u64(value, "fingerprint")?,
                 priority: {
-                    let name = str_member(value, "priority")?;
+                    let name = get_str(value, "priority")?;
                     Priority::parse(name)
                         .ok_or_else(|| WireError(format!("unknown priority '{name}'")))?
                 },
             }),
             "status" => Ok(Response::Status(JobStatus {
-                job: u64_member(value, "job")?,
+                job: get_u64(value, "job")?,
                 state: {
-                    let name = str_member(value, "state")?;
+                    let name = get_str(value, "state")?;
                     JobState::parse(name)
                         .ok_or_else(|| WireError(format!("unknown job state '{name}'")))?
                 },
                 priority: {
-                    let name = str_member(value, "priority")?;
+                    let name = get_str(value, "priority")?;
                     Priority::parse(name)
                         .ok_or_else(|| WireError(format!("unknown priority '{name}'")))?
                 },
-                client: str_member(value, "client")?.to_string(),
-                completed_cells: u64_member(value, "completed_cells")? as usize,
-                total_cells: u64_member(value, "total_cells")? as usize,
-                executed_trials: u64_member(value, "executed_trials")? as usize,
-                preemptions: u64_member(value, "preemptions")?,
-                evicted: bool_member(value, "evicted")?,
+                client: get_str(value, "client")?.to_string(),
+                completed_cells: get_u64(value, "completed_cells")? as usize,
+                total_cells: get_u64(value, "total_cells")? as usize,
+                executed_trials: get_u64(value, "executed_trials")? as usize,
+                preemptions: get_u64(value, "preemptions")?,
+                evicted: get_bool(value, "evicted")?,
                 error: match value.get("error") {
                     None | Some(Json::Null) => None,
                     Some(v) => Some(
@@ -996,39 +957,32 @@ impl Response {
                 },
             })),
             "cell" => Ok(Response::Cell {
-                job: u64_member(value, "job")?,
-                index: u64_member(value, "index")? as usize,
-                cell: value
-                    .get("cell")
-                    .cloned()
-                    .ok_or_else(|| WireError("missing member 'cell'".into()))?,
+                job: get_u64(value, "job")?,
+                index: get_u64(value, "index")? as usize,
+                cell: get(value, "cell")?.clone(),
             }),
             "end" => Ok(Response::End {
-                job: u64_member(value, "job")?,
+                job: get_u64(value, "job")?,
                 state: {
-                    let name = str_member(value, "state")?;
+                    let name = get_str(value, "state")?;
                     JobState::parse(name)
                         .ok_or_else(|| WireError(format!("unknown job state '{name}'")))?
                 },
-                streamed_cells: u64_member(value, "streamed_cells")? as usize,
+                streamed_cells: get_u64(value, "streamed_cells")? as usize,
             }),
             "result" => Ok(Response::ResultDoc {
-                job: u64_member(value, "job")?,
-                document: value
-                    .get("document")
-                    .cloned()
-                    .ok_or_else(|| WireError("missing member 'document'".into()))?,
+                job: get_u64(value, "job")?,
+                document: get(value, "document")?.clone(),
             }),
             "poff" => {
                 Ok(Response::Poff(PoffReply {
-                    poff_mhz: match value.get("poff_mhz") {
-                        None => return Err(WireError("missing member 'poff_mhz'".into())),
-                        Some(Json::Null) => None,
-                        Some(v) => Some(v.as_f64().filter(|v| v.is_finite()).ok_or_else(|| {
+                    poff_mhz: match get(value, "poff_mhz")? {
+                        Json::Null => None,
+                        v => Some(v.as_f64().filter(|v| v.is_finite()).ok_or_else(|| {
                             WireError("'poff_mhz' must be null or a number".into())
                         })?),
                     },
-                    cells_evaluated: u64_member(value, "cells_evaluated")? as usize,
+                    cells_evaluated: get_u64(value, "cells_evaluated")? as usize,
                     evaluated: value
                         .get("evaluated")
                         .and_then(Json::as_arr)
@@ -1036,48 +990,39 @@ impl Response {
                         .iter()
                         .map(|point| {
                             Ok(PoffPoint {
-                                freq_mhz: finite(point, "freq_mhz")?,
-                                correct_fraction: finite(point, "correct_fraction")?,
-                                finished_fraction: finite(point, "finished_fraction")?,
+                                freq_mhz: get_finite(point, "freq_mhz")?,
+                                correct_fraction: get_finite(point, "correct_fraction")?,
+                                finished_fraction: get_finite(point, "finished_fraction")?,
                             })
                         })
                         .collect::<Result<_, WireError>>()?,
                 }))
             }
             "metrics" => Ok(Response::Metrics {
-                snapshot: value
-                    .get("snapshot")
-                    .cloned()
-                    .ok_or_else(|| WireError("missing member 'snapshot'".into()))?,
+                snapshot: get(value, "snapshot")?.clone(),
             }),
             "events" => Ok(Response::Events {
-                events: value
-                    .get("events")
-                    .cloned()
-                    .ok_or_else(|| WireError("missing member 'events'".into()))?,
-                dropped: u64_member(value, "dropped")?,
+                events: get(value, "events")?.clone(),
+                dropped: get_u64(value, "dropped")?,
             }),
             "trace" => Ok(Response::Trace {
-                spans: value
-                    .get("spans")
-                    .cloned()
-                    .ok_or_else(|| WireError("missing member 'spans'".into()))?,
-                dropped: u64_member(value, "dropped")?,
+                spans: get(value, "spans")?.clone(),
+                dropped: get_u64(value, "dropped")?,
             }),
             "cancelled" => Ok(Response::Cancelled {
-                job: u64_member(value, "job")?,
+                job: get_u64(value, "job")?,
             }),
             "drain_started" => Ok(Response::DrainStarted {
-                running_jobs: u64_member(value, "running_jobs")? as usize,
+                running_jobs: get_u64(value, "running_jobs")? as usize,
             }),
             "bye" => Ok(Response::Bye),
             "error" => Ok(Response::Error {
                 code: {
-                    let name = str_member(value, "code")?;
+                    let name = get_str(value, "code")?;
                     ErrorCode::parse(name)
                         .ok_or_else(|| WireError(format!("unknown error code '{name}'")))?
                 },
-                message: str_member(value, "message")?.to_string(),
+                message: get_str(value, "message")?.to_string(),
                 detail: match value.get("detail") {
                     None | Some(Json::Null) => None,
                     Some(detail) => Some(detail.clone()),

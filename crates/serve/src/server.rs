@@ -5,19 +5,20 @@
 //! and returns immediately; [`Server::join`] parks until a client sends
 //! `shutdown` (or [`Server::shutdown`] is called locally).  Shutdown is
 //! graceful: running jobs are cancelled at the next trial boundary, and
-//! because every completed cell is appended to the journal (and to its
-//! checkpoint log) as it finishes, all completed work is already on disk
+//! because every completed cell is appended to the journal (with
+//! `--state-dir`) as it finishes, all completed work is already on disk
 //! by the time the process exits.
 
 use crate::jobs::{self, JobTable, NextCell, ResultFetch, SchedulerConfig, TableLimits};
+use crate::journal::RecoveredJob;
 use crate::metrics::{self, PrometheusListener};
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, PoffPoint, PoffReply, PoffRequest, Request, Response,
     ServerInfo, PROTOCOL_VERSION,
 };
-use crate::wire::{BenchmarkDef, WireError};
+use crate::wire::{BenchmarkDef, CampaignDef, WireError};
 use sfi_campaign::journal::{replay_file, Journal};
-use sfi_campaign::{adaptive_poff, CampaignEngine, PoffSearch, TrialBudget};
+use sfi_campaign::{adaptive_poff, CampaignEngine, CampaignSpec, PoffSearch, TrialBudget};
 use sfi_core::json::Json;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
 use sfi_fault::OperatingPoint;
@@ -52,8 +53,6 @@ pub struct ServeConfig {
     /// Persistent characterization cache directory; restarts with the
     /// same study configuration skip the gate-level DTA rebuild.
     pub cache_dir: Option<PathBuf>,
-    /// Per-job campaign checkpoint log directory.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Durable-state directory: every job transition is journaled here
     /// (fsync'd), and a restarted daemon replays the journal to restore
     /// queued jobs and resume interrupted ones (`None` = no journal).
@@ -90,7 +89,6 @@ impl Default for ServeConfig {
             max_running_per_client: None,
             result_cap_bytes: None,
             cache_dir: None,
-            checkpoint_dir: None,
             state_dir: None,
             drain_timeout_seconds: 30.0,
             conn_timeout_seconds: 300.0,
@@ -194,7 +192,6 @@ impl Server {
         let scheduler_config = SchedulerConfig {
             threads: config.threads,
             max_concurrent_jobs: config.max_concurrent_jobs.max(1),
-            checkpoint_dir: config.checkpoint_dir.clone(),
         };
         if !config.quiet {
             println!("sfi-serve listening on {addr}");
@@ -250,7 +247,7 @@ impl Server {
         };
         let mut table = JobTable::with_limits(config.limits());
         if let Some((journal, _)) = &journal_state {
-            table = table.with_journal(journal.clone());
+            table = table.with_journal(journal.clone(), config.study.fingerprint());
         }
         let table = Arc::new(table);
         if let Some((journal, recovered)) = journal_state {
@@ -260,12 +257,7 @@ impl Server {
                 .filter(|job| job.terminal.is_none())
                 .count();
             for job in recovered {
-                let spec = if job.terminal.is_none() {
-                    instantiate_recovered(&study, &job.spec)
-                } else {
-                    None
-                };
-                table.restore(job, spec);
+                table.restore(job, |job| readmit(&study, job));
             }
             if !config.quiet && total > 0 {
                 println!(
@@ -491,69 +483,50 @@ fn handle_connection(
             }
             Request::Submit(submit) => {
                 let client = submit.client.as_deref().unwrap_or("anonymous");
-                if let Err(response) = verify_guest_programs(&submit.spec.benchmarks) {
-                    reply(&mut writer, &response)?;
-                    continue;
-                }
-                match validate_voltages(&context.study, &submit.spec)
-                    .and_then(|()| submit.spec.instantiate())
-                {
-                    Ok(spec) => {
-                        let total_cells = spec.cells().len();
-                        let fingerprint = spec.fingerprint();
-                        // The instantiated spec travels into the job table;
-                        // the scheduler runs it as-is instead of
-                        // re-instantiating from the definition.  The wire
-                        // definition is what the journal records, since
-                        // that is what a restarted daemon re-instantiates.
-                        let spec_doc = if context.table.journal().is_some() {
-                            Some(submit.spec.to_json())
-                        } else {
-                            None
-                        };
-                        match context.table.submit_keyed(
-                            spec,
-                            submit.priority,
-                            client,
-                            submit.idempotency_key.as_deref(),
-                            spec_doc.as_ref(),
-                        ) {
-                            Ok(job) => reply(
-                                &mut writer,
-                                &Response::Submitted {
-                                    job,
-                                    total_cells,
-                                    fingerprint,
-                                    priority: submit.priority,
-                                },
-                            )?,
-                            Err(jobs::SubmitRejected::QuotaExceeded(message)) => reply(
-                                &mut writer,
-                                &Response::error(ErrorCode::QuotaExceeded, message),
-                            )?,
-                            Err(jobs::SubmitRejected::ShuttingDown) => reply(
-                                &mut writer,
-                                &Response::error(
-                                    ErrorCode::ShuttingDown,
-                                    "the daemon is shutting down",
-                                ),
-                            )?,
-                            Err(jobs::SubmitRejected::Draining) => reply(
-                                &mut writer,
-                                &Response::error(
-                                    ErrorCode::Draining,
-                                    "the daemon is draining and refuses new jobs",
-                                ),
-                            )?,
-                        }
+                let spec = match admit(&context.study, &submit.spec) {
+                    Ok(spec) => spec,
+                    Err(response) => {
+                        reply(&mut writer, &response)?;
+                        continue;
                     }
-                    Err(WireError(message)) => {
-                        reply(
-                            &mut writer,
-                            &Response::error(ErrorCode::BadRequest, message),
-                        )?;
+                };
+                let total_cells = spec.cells().len();
+                let fingerprint = spec.fingerprint();
+                // The instantiated spec travels into the job table; the
+                // scheduler runs it as-is instead of re-instantiating from
+                // the definition.  The wire definition is what the journal
+                // records, since that is what a restarted daemon
+                // re-instantiates.
+                let spec_doc = if context.table.journal().is_some() {
+                    Some(submit.spec.to_json())
+                } else {
+                    None
+                };
+                let response = match context.table.submit_keyed(
+                    spec,
+                    submit.priority,
+                    client,
+                    submit.idempotency_key.as_deref(),
+                    spec_doc.as_ref(),
+                ) {
+                    Ok(job) => Response::Submitted {
+                        job,
+                        total_cells,
+                        fingerprint,
+                        priority: submit.priority,
+                    },
+                    Err(jobs::SubmitRejected::QuotaExceeded(message)) => {
+                        Response::error(ErrorCode::QuotaExceeded, message)
                     }
-                }
+                    Err(jobs::SubmitRejected::ShuttingDown) => {
+                        Response::error(ErrorCode::ShuttingDown, "the daemon is shutting down")
+                    }
+                    Err(jobs::SubmitRejected::Draining) => Response::error(
+                        ErrorCode::Draining,
+                        "the daemon is draining and refuses new jobs",
+                    ),
+                };
+                reply(&mut writer, &response)?;
             }
             Request::Status(job) => match context.table.status(job) {
                 Some(status) => reply(&mut writer, &Response::Status(status))?,
@@ -688,11 +661,16 @@ fn handle_connection(
     }
 }
 
-/// Rejects campaign cells whose fault model needs a characterization this
-/// daemon does not have, so the failure surfaces as a clean `error` frame
-/// at submit time instead of a failed job at run time.
-fn validate_voltages(study: &CaseStudy, def: &crate::wire::CampaignDef) -> Result<(), WireError> {
-    let voltages = &study.config().voltages;
+/// Admits a campaign: the one path of `submit` and of journal recovery.
+///
+/// Guest programs are verified before anything is instantiated, then
+/// every cell whose fault model needs a characterization must name a
+/// voltage this daemon characterized, so failures surface as a clean
+/// `error` frame at submit time instead of a failed job at run time.  The
+/// error is the reply a `submit` gets.
+fn admit(study: &CaseStudy, def: &CampaignDef) -> Result<CampaignSpec, Box<Response>> {
+    let bad_request = |message| Box::new(Response::error(ErrorCode::BadRequest, message));
+    verify_guest_programs(&def.benchmarks)?;
     for (index, cell) in def.cells.iter().enumerate() {
         let needs_characterization = matches!(
             cell.model,
@@ -700,27 +678,43 @@ fn validate_voltages(study: &CaseStudy, def: &crate::wire::CampaignDef) -> Resul
                 | sfi_core::FaultModel::StaWithNoise
                 | sfi_core::FaultModel::StatisticalDta
         );
-        if needs_characterization && !voltages.iter().any(|&v| (v - cell.vdd).abs() < 1e-9) {
-            return Err(WireError(format!(
-                "cell {index}: voltage {} V is not characterized by this daemon \
-                 (available: {voltages:?})",
-                cell.vdd
-            )));
+        if needs_characterization {
+            check_voltage(study, cell.vdd)
+                .map_err(|message| bad_request(format!("cell {index}: {message}")))?;
         }
     }
-    Ok(())
+    def.instantiate()
+        .map_err(|WireError(message)| bad_request(message))
 }
 
-/// Re-instantiates a journaled wire definition during restart recovery.
-///
-/// `None` means the job cannot be resurrected on this daemon — the
-/// definition no longer parses, names an uncharacterized voltage, or
-/// fails instantiation — and it is restored as failed instead of queued.
-fn instantiate_recovered(study: &CaseStudy, spec: &Json) -> Option<sfi_campaign::CampaignSpec> {
-    let def = crate::wire::CampaignDef::from_json(spec).ok()?;
-    validate_voltages(study, &def).ok()?;
-    verify_guest_programs(&def.benchmarks).ok()?;
-    def.instantiate().ok()
+/// Rejects a voltage this daemon has no characterization for.
+fn check_voltage(study: &CaseStudy, vdd: f64) -> Result<(), String> {
+    let voltages = &study.config().voltages;
+    if voltages.iter().any(|&v| (v - vdd).abs() < 1e-9) {
+        return Ok(());
+    }
+    Err(format!(
+        "voltage {vdd} V is not characterized by this daemon (available: {voltages:?})"
+    ))
+}
+
+/// Re-admits a live journaled job during restart recovery: its `submit`
+/// record must name this daemon's study (a record without one is
+/// trusted), and its definition must still parse and pass [`admit`].
+fn readmit(study: &CaseStudy, job: &RecoveredJob) -> Result<CampaignSpec, String> {
+    let ours = study.config().fingerprint().to_string();
+    if let Some(theirs) = job.study.as_deref().filter(|&theirs| theirs != ours) {
+        return Err(format!(
+            "it was submitted under study {theirs}, but this daemon serves study {ours}"
+        ));
+    }
+    let def = CampaignDef::from_json(&job.spec).map_err(|WireError(message)| message)?;
+    admit(study, &def).map_err(|response| {
+        let Response::Error { message, .. } = *response else {
+            unreachable!("admission refuses with error frames")
+        };
+        message
+    })
 }
 
 /// Streams job cells in completion order, then the terminating `end`.
@@ -832,20 +826,8 @@ fn verification_detail(benchmark: usize, report: &sfi_verify::Report) -> Json {
 /// underneath still parallelizes each evaluated cell's trials within one
 /// job's thread budget).
 fn run_poff(context: &Context, request: &PoffRequest) -> Response {
-    if !context
-        .study
-        .config()
-        .voltages
-        .iter()
-        .any(|&v| (v - request.vdd).abs() < 1e-9)
-    {
-        return Response::error(
-            ErrorCode::BadRequest,
-            format!(
-                "voltage {} V is not characterized by this daemon",
-                request.vdd
-            ),
-        );
+    if let Err(message) = check_voltage(&context.study, request.vdd) {
+        return Response::error(ErrorCode::BadRequest, message);
     }
     if let Err(response) = verify_guest_programs(std::slice::from_ref(&request.benchmark)) {
         return *response;

@@ -70,13 +70,17 @@ fn err<T>(message: impl Into<String>) -> Result<T, WireError> {
     Err(WireError(message.into()))
 }
 
-fn get<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
+// — member readers, shared by every wire and protocol decoder —
+
+/// The member `key` of `value`.
+pub(crate) fn get<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
     value
         .get(key)
         .ok_or_else(|| WireError(format!("missing member '{key}'")))
 }
 
-fn get_u64(value: &Json, key: &str) -> Result<u64, WireError> {
+/// The member `key`, an unsigned integer.
+pub(crate) fn get_u64(value: &Json, key: &str) -> Result<u64, WireError> {
     get(value, key)?
         .as_u64()
         .ok_or_else(|| WireError(format!("'{key}' must be an unsigned integer")))
@@ -90,17 +94,26 @@ fn get_usize(value: &Json, key: &str, max: usize) -> Result<usize, WireError> {
     Ok(v)
 }
 
-fn get_finite(value: &Json, key: &str) -> Result<f64, WireError> {
+/// The member `key`, a finite number.
+pub(crate) fn get_finite(value: &Json, key: &str) -> Result<f64, WireError> {
     get(value, key)?
         .as_f64()
         .filter(|v| v.is_finite())
         .ok_or_else(|| WireError(format!("'{key}' must be a finite number")))
 }
 
-fn get_str<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
+/// The member `key`, a string.
+pub(crate) fn get_str<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
     get(value, key)?
         .as_str()
         .ok_or_else(|| WireError(format!("'{key}' must be a string")))
+}
+
+/// The member `key`, a boolean.
+pub(crate) fn get_bool(value: &Json, key: &str) -> Result<bool, WireError> {
+    get(value, key)?
+        .as_bool()
+        .ok_or_else(|| WireError(format!("'{key}' must be a boolean")))
 }
 
 fn get_u32_array(

@@ -5,7 +5,7 @@
 //! characterization-cache restarts, graceful shutdown, and what the
 //! journal carries across a restart after a cancel or a stop.
 
-use sfi_campaign::journal::{replay_file, Journal};
+use sfi_campaign::journal::Journal;
 use sfi_campaign::{checkpoint, CampaignEngine, CampaignResult, CampaignSpec};
 use sfi_core::json::Json;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -208,64 +208,6 @@ fn two_jobs_run_concurrently_with_bit_identical_results() {
     }
 
     server.shutdown();
-}
-
-#[test]
-fn checkpoint_dir_logs_cells_and_resubmissions_resume_from_them() {
-    let dir = temp_dir("checkpoint_dir");
-    let server = Server::start(ServeConfig {
-        checkpoint_dir: Some(dir.clone()),
-        ..ServeConfig::fast_for_tests()
-    })
-    .expect("daemon starts");
-    let mut client = Client::connect(server.local_addr()).expect("connects");
-    let def = two_cell_def(client.ping().expect("pong").sta_limit_mhz);
-    let (spec, direct) = direct_run(&def);
-    let first = client.submit(&def).expect("accepted");
-    assert_eq!(
-        client.wait(first.job).expect("terminal").state,
-        JobState::Done
-    );
-    let expected = direct.to_json(&spec).to_string();
-    assert_eq!(
-        client.result(first.job).expect("result").to_string(),
-        expected
-    );
-
-    // The job's log holds a header and both cells.  Doctor cell 1, so the
-    // resubmission shows whether it restored the cell or re-ran it.
-    let path = dir.join(format!("job-{:016x}.log", spec.fingerprint()));
-    let records = replay_file(&path).expect("the log replays");
-    assert_eq!(records.len(), 3);
-    let mut doctored = direct.cells[1].clone();
-    for trial in &mut doctored.trials {
-        trial.cycles += 1;
-    }
-    let rewritten = [
-        records[0].clone(),
-        checkpoint::cell_to_json(&direct.cells[0]),
-        checkpoint::cell_to_json(&doctored),
-    ];
-    drop(Journal::rewrite(&path, &rewritten).expect("rewrites"));
-
-    let second = client.submit(&def).expect("accepted");
-    assert_eq!(
-        client.wait(second.job).expect("terminal").state,
-        JobState::Done
-    );
-    let doc = client.result(second.job).expect("result");
-    // NaN output errors are `null` on the wire, so compare encodings.
-    let text = |docs: &[Json]| docs.iter().map(Json::to_string).collect::<Vec<_>>();
-    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells");
-    assert_eq!(text(cells), text(&rewritten[1..]), "cell 1 is restored");
-    assert_eq!(
-        text(&replay_file(&path).expect("the log replays")),
-        text(&rewritten),
-        "nothing new is logged"
-    );
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -653,6 +595,62 @@ fn a_job_interrupted_by_a_drain_timeout_resumes_bit_identically() {
     stopped_job_resumes("stop_drain", 0.0, |client| {
         assert_eq!(client.drain().expect("drain starts"), 1);
     });
+}
+
+#[test]
+fn a_live_job_restored_under_another_study_fails_instead_of_resuming() {
+    // A live job with at least one journaled cell, simulated under the
+    // fast study.
+    let dir = temp_dir("other_study");
+    let mut config = ServeConfig::fast_for_tests();
+    config.state_dir = Some(dir.clone());
+    let server = Server::start(config.clone()).expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let sta = client.ping().expect("pong").sta_limit_mhz;
+    let def = long_def("other-study", sta, 5, 200);
+    let ticket = client.submit(&def).expect("accepted");
+    while client.status(ticket.job).expect("status").completed_cells == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    client.shutdown().expect("bye");
+    server.join();
+
+    // The same state directory under a study that differs in one field:
+    // the journaled cells came from another characterization.
+    let submitted_under = config.study.fingerprint();
+    config.study.seed += 1;
+    let restarted_under = config.study.fingerprint();
+    let server = Server::start(config.clone()).expect("daemon restarts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let status = client.status(ticket.job).expect("job survived");
+    assert_eq!(status.state, JobState::Failed);
+    assert_eq!(status.completed_cells, 0);
+    let error = status.error.expect("the failure names its reason");
+    assert!(
+        error.contains(&submitted_under.to_string())
+            && error.contains(&restarted_under.to_string()),
+        "{error}"
+    );
+    client.shutdown().expect("bye");
+    server.join();
+
+    // The job stays live in the journal: back under its own study, it
+    // resumes to the result of an uninterrupted run.
+    config.study.seed -= 1;
+    let server = Server::start(config).expect("daemon restarts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    assert_eq!(
+        client.wait(ticket.job).expect("resumes").state,
+        JobState::Done
+    );
+    let (spec, direct) = direct_run(&def);
+    assert_eq!(
+        client.result(ticket.job).expect("result").to_string(),
+        direct.to_json(&spec).to_string()
+    );
+    client.shutdown().expect("bye");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -32,7 +32,6 @@ fn sfi_serve_help_mentions_every_accepted_flag() {
         "--max-running-per-client",
         "--result-cap-bytes",
         "--cache-dir",
-        "--checkpoint-dir",
         "--state-dir",
         "--drain-timeout",
         "--conn-timeout",

@@ -2,6 +2,7 @@
 //! thread counts, actual concurrency, adaptive early stopping, checkpoint
 //! resume and the adaptive PoFF search.
 
+use sfi_campaign::journal::replay_file;
 use sfi_campaign::{
     adaptive_poff, checkpoint, CampaignEngine, CampaignResult, CampaignSpec, CellResult, CellSpec,
     PoffSearch, StopRule, TrialBudget,
@@ -10,6 +11,8 @@ use sfi_core::experiment::{run_experiment, FaultModel};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
 use sfi_cpu::Memory;
 use sfi_fault::OperatingPoint;
+use sfi_isa::{Instruction, ProgramBuilder, Reg};
+use sfi_kernels::guest::GuestProgramBenchmark;
 use sfi_kernels::median::MedianBenchmark;
 use sfi_kernels::Benchmark;
 use std::ops::Range;
@@ -46,8 +49,8 @@ fn log_path(tag: &str) -> PathBuf {
 }
 
 /// Runs `spec` with the checkpoint log at `path`, the way the figure
-/// binaries and the daemon's `--checkpoint-dir` do: the log's cells seed
-/// the engine and every simulated cell is appended as it finishes.
+/// binaries' `--checkpoint FILE` does: the log's cells seed the engine
+/// and every simulated cell is appended as it finishes.
 /// `observe` sees every cell the progress hook reports.
 fn run_logged(
     engine: CampaignEngine,
@@ -56,7 +59,7 @@ fn run_logged(
     path: &Path,
     observe: impl Fn(&CellResult) + Send + Sync + 'static,
 ) -> CampaignResult {
-    let (log, cells) = checkpoint::open_log(path, spec).expect("the log opens");
+    let (log, cells) = checkpoint::open_log(path, spec, study.config()).expect("the log opens");
     engine
         .with_seed_cells(cells)
         .with_progress(Arc::new(move |cell: &CellResult| {
@@ -364,7 +367,8 @@ fn result_json_is_byte_identical_across_threads_and_checkpoint_resumes() {
 
     // The 3-thread run's log (in completion order) restores exactly that
     // run's cells.
-    let (_, mut restored) = checkpoint::open_log(&path, &spec).expect("the log opens");
+    let (_, mut restored) =
+        checkpoint::open_log(&path, &spec, study.config()).expect("the log opens");
     restored.sort_by_key(|cell| cell.cell);
     assert_eq!(restored.len(), parallel.cells.len());
     for (a, b) in parallel.cells.iter().zip(&restored) {
@@ -597,4 +601,109 @@ fn zero_cell_campaign_completes() {
     let result = CampaignEngine::new().with_threads(4).run(&study, &spec);
     assert!(result.cells.is_empty());
     assert_eq!(result.metrics.executed_trials, 0);
+}
+
+/// A one-cell fault-free campaign over `benchmark`, with a fixed budget
+/// of two trials, and a cell it can restore.
+fn one_cell_spec(benchmark: impl Benchmark + Send + Sync + 'static) -> (CampaignSpec, CellResult) {
+    let mut spec = CampaignSpec::new("identity", 3);
+    let index = spec.add_benchmark(benchmark);
+    spec.add_cell(CellSpec {
+        benchmark: index,
+        model: FaultModel::None,
+        point: OperatingPoint::new(500.0, 0.7),
+        budget: TrialBudget::fixed(2),
+    });
+    let trials = vec![
+        sfi_core::TrialResult {
+            finished: true,
+            correct: true,
+            output_error: 0.0,
+            fi_rate_per_kcycle: 0.0,
+            cycles: 40,
+        };
+        2
+    ];
+    let cell = CellResult {
+        cell: 0,
+        stats: sfi_campaign::CellStats::from_trials(&trials),
+        trials,
+        stopped_early: false,
+        from_checkpoint: false,
+    };
+    (spec, cell)
+}
+
+/// Logs a cell of `logged` simulated under `logged_study`, checks that
+/// the log restores it, then opens the log for `other` under
+/// `other_study`: nothing may be restored, and the log must be left as a
+/// fresh header alone.
+fn assert_log_starts_fresh(
+    tag: &str,
+    (logged, cell): (CampaignSpec, CellResult),
+    logged_study: &CaseStudyConfig,
+    other: &CampaignSpec,
+    other_study: &CaseStudyConfig,
+) {
+    let path = log_path(tag);
+    let (log, _) = checkpoint::open_log(&path, &logged, logged_study).expect("opens");
+    log.append(&checkpoint::cell_to_json(&cell))
+        .expect("appends");
+    drop(log);
+    let (_, restored) = checkpoint::open_log(&path, &logged, logged_study).expect("reopens");
+    assert_eq!(restored.len(), 1, "the log restores its own cell");
+
+    let (_, restored) = checkpoint::open_log(&path, other, other_study).expect("reopens");
+    assert!(restored.is_empty(), "{tag}: a foreign cell was restored");
+    assert_eq!(replay_file(&path).expect("replays").len(), 1, "{tag}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_checkpoint_of_other_input_data_starts_fresh() {
+    let study = CaseStudyConfig::fast_for_tests();
+    let logged = one_cell_spec(MedianBenchmark::new(15, 1));
+    let (other, _) = one_cell_spec(MedianBenchmark::new(15, 2));
+    assert_eq!(logged.0.fingerprint(), other.fingerprint());
+    assert_log_starts_fresh("input_data", logged, &study, &other, &study);
+}
+
+#[test]
+fn a_checkpoint_of_another_guest_program_starts_fresh() {
+    // Two programs of equal length that differ in one instruction word:
+    // each stores a constant to data word 0 and exits.
+    let guest = |value: i16| {
+        let mut p = ProgramBuilder::new();
+        p.push(Instruction::Addi {
+            rd: Reg(3),
+            ra: Reg(0),
+            imm: value,
+        });
+        p.push(Instruction::Sw {
+            ra: Reg(0),
+            rb: Reg(3),
+            offset: 0,
+        });
+        GuestProgramBenchmark::new(p.build(), 4, 0..2, vec![], 0..1).expect("builds")
+    };
+    let (a, b) = (guest(5), guest(6));
+    assert_eq!(a.program().len(), b.program().len());
+    assert_ne!(a.program().to_words(), b.program().to_words());
+    let study = CaseStudyConfig::fast_for_tests();
+    let logged = one_cell_spec(a);
+    let (other, _) = one_cell_spec(b);
+    assert_eq!(logged.0.fingerprint(), other.fingerprint());
+    assert_log_starts_fresh("guest_program", logged, &study, &other, &study);
+}
+
+#[test]
+fn a_checkpoint_of_another_study_starts_fresh() {
+    let study = CaseStudyConfig::fast_for_tests();
+    let other_study = CaseStudyConfig {
+        seed: study.seed + 1,
+        ..study.clone()
+    };
+    let logged = one_cell_spec(MedianBenchmark::new(15, 1));
+    let other = logged.0.clone();
+    assert_log_starts_fresh("study", logged, &study, &other, &other_study);
 }
