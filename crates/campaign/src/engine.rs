@@ -24,7 +24,9 @@
 
 use crate::spec::{CampaignSpec, CellSpec, TrialBudget};
 use crate::stats::CellStats;
-use sfi_core::experiment::{derive_trial_seed, golden_cycles, watchdog_cycles, TrialContext};
+use sfi_core::experiment::{
+    derive_trial_seed, golden_cycles, watchdog_cycles, TrialContext, WatchdogSlot,
+};
 use sfi_core::{CaseStudy, ExperimentSummary, TrialResult};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -254,11 +256,33 @@ impl CampaignEngine {
     /// Runs the campaign: seeded cells are restored, every other cell is
     /// simulated.
     ///
+    /// Every benchmark's watchdog is resolved up front, by one golden run
+    /// per benchmark, whether or not a trial reaches it.
+    ///
     /// # Panics
     ///
     /// Panics if the spec references a characterization voltage the study
     /// does not provide, or if a worker thread panics.
     pub fn run(&self, study: &CaseStudy, spec: &CampaignSpec) -> CampaignResult {
+        let watchdogs: Vec<WatchdogSlot> = spec
+            .benchmarks()
+            .iter()
+            .map(|b| WatchdogSlot::fixed(watchdog_cycles(golden_cycles(b.as_ref()))))
+            .collect();
+        self.run_with_watchdogs(study, spec, &watchdogs)
+    }
+
+    /// [`CampaignEngine::run`] with the caller's watchdog slots, one per
+    /// spec benchmark and index-aligned with them.  A lazy slot runs its
+    /// golden run only if a trial reaches the floor, and a slot shared
+    /// across runs (as a PoFF search shares one across its cells) runs it
+    /// at most once.
+    pub(crate) fn run_with_watchdogs(
+        &self,
+        study: &CaseStudy,
+        spec: &CampaignSpec,
+        watchdogs: &[WatchdogSlot],
+    ) -> CampaignResult {
         let fingerprint = spec.fingerprint();
         let mut campaign_span = sfi_obs::Span::begin("campaign", "engine")
             .arg("name", spec.name.as_str())
@@ -284,21 +308,10 @@ impl CampaignEngine {
             }
         }
 
-        // The expensive characterization inside `study` is shared by
-        // reference; the only per-benchmark precomputation is the golden
-        // (fault-free) cycle count that sizes the watchdog, done once per
-        // benchmark instead of once per cell or — as the old
-        // `run_experiment` did — once per sweep point.
-        let watchdogs: Vec<u64> = spec
-            .benchmarks()
-            .iter()
-            .map(|b| watchdog_cycles(golden_cycles(b.as_ref())))
-            .collect();
-
         let shared = Shared::new(
             study,
             spec,
-            &watchdogs,
+            watchdogs,
             restored,
             self.progress.clone(),
             self.cancel.clone(),
@@ -306,12 +319,15 @@ impl CampaignEngine {
             self.trace_job,
         );
 
+        // The calling thread is worker 0, so a one-thread engine spawns
+        // nothing.
         if shared.open_cells.load(Ordering::SeqCst) > 0 {
             thread::scope(|scope| {
-                for worker in 0..self.threads {
+                for worker in 1..self.threads {
                     let shared = &shared;
                     scope.spawn(move || worker_loop(worker, shared));
                 }
+                worker_loop(0, &shared);
             });
         }
 
@@ -453,7 +469,7 @@ impl CellState {
 struct Shared<'a> {
     study: &'a CaseStudy,
     spec: &'a CampaignSpec,
-    watchdogs: &'a [u64],
+    watchdogs: &'a [WatchdogSlot],
     queues: Vec<Mutex<VecDeque<Job>>>,
     cells: Vec<Mutex<CellState>>,
     /// Cells not yet finished; workers exit when this reaches zero.
@@ -483,7 +499,7 @@ impl<'a> Shared<'a> {
     fn new(
         study: &'a CaseStudy,
         spec: &'a CampaignSpec,
-        watchdogs: &'a [u64],
+        watchdogs: &'a [WatchdogSlot],
         restored: Vec<Option<CellResult>>,
         progress: Option<ProgressHook>,
         cancel: Option<Arc<AtomicBool>>,
@@ -680,7 +696,7 @@ fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, j
     let cell_index = job.cell as usize;
     let cell_spec = shared.spec.cells()[cell_index];
     let benchmark = shared.spec.benchmarks()[cell_spec.benchmark].as_ref();
-    let max_cycles = shared.watchdogs[cell_spec.benchmark];
+    let watchdog = &shared.watchdogs[cell_spec.benchmark];
     let trial_seed = derive_trial_seed(shared.spec.seed, cell_index as u64, job.trial as u64);
 
     let in_flight = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -688,13 +704,13 @@ fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, j
     shared.worker_used[worker % shared.worker_used.len()].fetch_add(1, Ordering::Relaxed);
 
     let trial_start = sfi_obs::clock::now_micros();
-    let result = context.run_trial(
+    let result = context.run_trial_with_watchdog(
         shared.study,
         benchmark,
         cell_spec.benchmark,
         cell_spec.model,
         cell_spec.point,
-        max_cycles,
+        watchdog,
         trial_seed,
     );
     // One span per trial: two clock reads and a push on the thread-local

@@ -13,7 +13,7 @@
 
 use crate::engine::CampaignEngine;
 use crate::spec::{CampaignSpec, CellSpec, SharedBenchmark, TrialBudget};
-use sfi_core::{CaseStudy, FaultModel, SweepPoint};
+use sfi_core::{CaseStudy, FaultModel, SweepPoint, WatchdogSlot};
 use sfi_fault::OperatingPoint;
 
 /// Configuration of an adaptive PoFF search.
@@ -86,6 +86,10 @@ pub struct PoffOutcome {
 /// (so its trials run in parallel), seeded deterministically from `seed`
 /// and the evaluation ordinal; the search sequence itself is
 /// deterministic, so the whole outcome is reproducible.
+///
+/// The cells share one lazily resolved watchdog: the benchmark's golden
+/// run happens at most once per search, and not at all when no trial
+/// reaches [`sfi_core::WATCHDOG_FLOOR_CYCLES`].
 pub fn adaptive_poff(
     engine: &CampaignEngine,
     study: &CaseStudy,
@@ -97,6 +101,7 @@ pub fn adaptive_poff(
 ) -> PoffOutcome {
     let mut evaluated: Vec<SweepPoint> = Vec::new();
     let mut ordinal = 0u64;
+    let watchdog = [WatchdogSlot::lazy()];
     let mut eval = |freq: f64| -> bool {
         // Each evaluation is a single-cell campaign whose master seed is
         // drawn from the search seed and the evaluation ordinal, giving
@@ -111,7 +116,7 @@ pub fn adaptive_poff(
             point: base_point.at_frequency(freq),
             budget: search.budget,
         });
-        let result = engine.run(study, &spec);
+        let result = engine.run_with_watchdogs(study, &spec, &watchdog);
         let summary = result.summary(0);
         let fully_correct = summary.correct_fraction() >= 1.0;
         evaluated.push(SweepPoint {

@@ -6,7 +6,7 @@ use sfi_cpu::{Core, FaultInjector, NoFaultInjector, RunConfig, RunOutcome};
 use sfi_fault::{FixedProbabilityModel, OperatingPoint, StaWithNoiseModel, StatisticalDtaModel};
 use sfi_kernels::Benchmark;
 use sfi_timing::VddDelayCurve;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which fault-injection model an experiment uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,27 +149,90 @@ pub fn derive_trial_seed(campaign_seed: u64, cell_index: u64, trial_index: u64) 
     )
 }
 
+/// The least watchdog limit of any benchmark, in cycles: what
+/// [`watchdog_cycles`] returns for a short golden run.
+///
+/// A trial that ends below it never needs its benchmark's golden run (see
+/// [`WatchdogSlot`]).
+pub const WATCHDOG_FLOOR_CYCLES: u64 = 100_000;
+
 /// The watchdog cycle limit used for a benchmark whose fault-free runtime
 /// is `golden_cycles`: a generous multiple, so that wrong branching either
-/// terminates (wrong output) or is flagged as fatal.
+/// terminates (wrong output) or is flagged as fatal, and never below
+/// [`WATCHDOG_FLOOR_CYCLES`].
+///
+/// A trial whose limit is still unknown runs to the floor first and
+/// resolves the limit only if it gets there ([`WatchdogSlot`]); it then
+/// continues on the same core and injector, which may call the
+/// injector's [`FaultInjector::begin_run`] a second time.
 pub fn watchdog_cycles(golden_cycles: u64) -> u64 {
-    golden_cycles.saturating_mul(8).max(100_000)
+    golden_cycles.saturating_mul(8).max(WATCHDOG_FLOOR_CYCLES)
+}
+
+/// A benchmark's watchdog limit, resolved on first need.
+///
+/// A [`WatchdogSlot::lazy`] slot runs the benchmark's golden run only when
+/// a trial reaches [`WATCHDOG_FLOOR_CYCLES`], at most once however many
+/// threads share the slot.  Trials that end below the floor never need the
+/// limit, since every limit is at least the floor.  A trial that reaches
+/// it continues to the resolved limit, and the result is the one a single
+/// run to that limit gives: the ISS checks its cycle budget only against
+/// machine state, before each fetch, its statistics accumulate across
+/// runs, and a run to `m` followed by a run to `w >= m` stops at the same
+/// instruction boundary as one run to `w`.
+#[derive(Debug, Default)]
+pub struct WatchdogSlot {
+    cycles: OnceLock<u64>,
+}
+
+impl WatchdogSlot {
+    /// A slot whose limit is resolved by the first trial that reaches the
+    /// floor.
+    pub fn lazy() -> Self {
+        WatchdogSlot::default()
+    }
+
+    /// A slot holding `max_cycles`, which may be below the floor.
+    pub fn fixed(max_cycles: u64) -> Self {
+        WatchdogSlot {
+            cycles: OnceLock::from(max_cycles),
+        }
+    }
+
+    /// The limit, if resolved.
+    pub fn get(&self) -> Option<u64> {
+        self.cycles.get().copied()
+    }
+
+    /// The limit, running `benchmark`'s golden run to resolve it if no
+    /// caller has yet.  `benchmark` must be the one the slot belongs to.
+    pub fn resolve(&self, benchmark: &dyn Benchmark) -> u64 {
+        *self
+            .cycles
+            .get_or_init(|| watchdog_cycles(golden_cycles(benchmark)))
+    }
 }
 
 /// Runs one trial on an already prepared core (architectural state and
-/// data memory reset, inputs *not* yet loaded).
+/// data memory reset, inputs *not* yet loaded), up to the limit of
+/// `watchdog`.
 fn run_prepared_trial<F: FaultInjector + ?Sized>(
     core: &mut Core,
     benchmark: &dyn Benchmark,
     injector: &mut F,
-    max_cycles: u64,
+    watchdog: &WatchdogSlot,
 ) -> TrialResult {
     benchmark.initialize(core.memory_mut());
-    let config = RunConfig {
-        max_cycles,
+    let known = watchdog.get();
+    let mut config = RunConfig {
+        max_cycles: known.unwrap_or(WATCHDOG_FLOOR_CYCLES),
         fi_window: Some(benchmark.fi_window()),
     };
-    let outcome = core.run_with_injector(&config, injector);
+    let mut outcome = core.run_with_injector(&config, injector);
+    if known.is_none() && matches!(outcome, RunOutcome::Watchdog { .. }) {
+        config.max_cycles = watchdog.resolve(benchmark);
+        outcome = core.run_with_injector(&config, injector);
+    }
     // Sharded per-thread counters: one relaxed add each, no measurable
     // cost next to the trial just simulated.
     let obs = sfi_obs::metrics();
@@ -193,19 +256,12 @@ fn run_prepared_trial<F: FaultInjector + ?Sized>(
     }
 }
 
-fn run_one_trial<F: FaultInjector + ?Sized>(
-    benchmark: &dyn Benchmark,
-    injector: &mut F,
-    max_cycles: u64,
-) -> TrialResult {
-    let mut core = Core::new(benchmark.program().clone(), benchmark.dmem_words());
-    run_prepared_trial(&mut core, benchmark, injector, max_cycles)
-}
-
 /// Number of fault-free cycles of a benchmark (used to size the watchdog
 /// and reported in Table 1).
 pub fn golden_cycles(benchmark: &dyn Benchmark) -> u64 {
-    run_one_trial(benchmark, &mut NoFaultInjector, u64::MAX / 4).cycles
+    let mut core = Core::new(benchmark.program().clone(), benchmark.dmem_words());
+    let limit = WatchdogSlot::fixed(u64::MAX / 4);
+    run_prepared_trial(&mut core, benchmark, &mut NoFaultInjector, &limit).cycles
 }
 
 /// A constructed injector of any fault model, cached between trials
@@ -335,6 +391,37 @@ impl TrialContext {
         max_cycles: u64,
         trial_seed: u64,
     ) -> TrialResult {
+        self.run_trial_with_watchdog(
+            study,
+            benchmark,
+            benchmark_key,
+            model,
+            point,
+            &WatchdogSlot::fixed(max_cycles),
+            trial_seed,
+        )
+    }
+
+    /// [`TrialContext::run_trial`] up to the limit of `watchdog`, which
+    /// must belong to `benchmark`: a lazy slot is resolved only if this
+    /// trial reaches [`WATCHDOG_FLOOR_CYCLES`].  The result is bit-identical
+    /// to `run_trial` with the resolved limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the requested model needs a characterization voltage the
+    /// study does not provide.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_trial_with_watchdog(
+        &mut self,
+        study: &CaseStudy,
+        benchmark: &dyn Benchmark,
+        benchmark_key: usize,
+        model: FaultModel,
+        point: OperatingPoint,
+        watchdog: &WatchdogSlot,
+        trial_seed: u64,
+    ) -> TrialResult {
         let mut slot = match self.injector.take() {
             Some(mut slot)
                 if Arc::ptr_eq(&slot.study, study.share_token())
@@ -365,9 +452,9 @@ impl TrialContext {
         };
         let injector = slot.injector.as_injector_mut();
         let result = if injector.never_faults() {
-            run_prepared_trial(core, benchmark, &mut NoFaultInjector, max_cycles)
+            run_prepared_trial(core, benchmark, &mut NoFaultInjector, watchdog)
         } else {
-            run_prepared_trial(core, benchmark, injector, max_cycles)
+            run_prepared_trial(core, benchmark, injector, watchdog)
         };
         let faults = core.stats().injected_faults;
         if faults > 0 {
@@ -768,7 +855,8 @@ mod tests {
     ) -> TrialResult {
         let mut injector = CachedInjector::build(study, model, point, seed);
         let mut core = Core::new(bench.program().clone(), bench.dmem_words());
-        run_prepared_trial(&mut core, bench, injector.as_injector_mut(), max_cycles)
+        let limit = WatchdogSlot::fixed(max_cycles);
+        run_prepared_trial(&mut core, bench, injector.as_injector_mut(), &limit)
     }
 
     fn assert_bit_identical(a: TrialResult, b: TrialResult, what: &str) {

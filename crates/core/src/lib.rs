@@ -59,6 +59,7 @@ pub mod study;
 pub use experiment::{
     derive_trial_seed, frequency_sweep, point_of_first_failure, run_experiment, run_single_trial,
     watchdog_cycles, ExperimentSummary, FaultModel, SweepPoint, TrialContext, TrialResult,
+    WatchdogSlot, WATCHDOG_FLOOR_CYCLES,
 };
 pub use power::{PowerModel, TradeoffPoint};
 pub use study::{CaseStudy, CaseStudyConfig};

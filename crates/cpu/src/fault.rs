@@ -45,9 +45,16 @@ pub trait FaultInjector {
     /// cycle-aligned internal state such as per-cycle supply-noise samples.
     fn inject(&mut self, ctx: &ExStageContext) -> u32;
 
-    /// Called once when a program run starts, so stateful models can reset
-    /// per-run state (e.g. noise sequences) while keeping their expensive
-    /// characterization data.
+    /// Called at the start of every
+    /// [`Core::run_with_injector`](crate::Core::run_with_injector) call.
+    ///
+    /// One trial may call it twice: a trial whose watchdog is not yet
+    /// known stops at the harness's floor and continues the same run with
+    /// a second `run_with_injector` call.  An implementation must therefore
+    /// not reset state a run in progress depends on (such as its noise
+    /// sequence), or the continued trial is no longer the single run it
+    /// stands for.  Every injector in the tree keeps the default, which
+    /// does nothing.
     fn begin_run(&mut self) {}
 
     /// Whether this injector provably returns a zero mask on every cycle

@@ -40,6 +40,7 @@ use crate::wire::{
     get, get_bool, get_finite, get_str, get_u64, model_from_json, model_to_json, CampaignDef,
     WireError, MAX_CLIENT_ID_BYTES,
 };
+use sfi_campaign::PoffSearch;
 use sfi_core::json::Json;
 use sfi_core::FaultModel;
 use std::io::{self, BufRead, Write};
@@ -231,6 +232,17 @@ impl PoffRequest {
             return Err(WireError(format!(
                 "'trials' must be in 1..={}",
                 crate::wire::MAX_TRIALS_PER_CELL
+            )));
+        }
+        // The bisection evaluates about log2 of the equivalent grid's
+        // cells, so the campaign cell cap bounds a query to ~18 cells.
+        let grid = PoffSearch::new(req.lo_mhz, req.hi_mhz, req.resolution_mhz, req.trials)
+            .grid_equivalent_cells();
+        if grid > crate::wire::MAX_CELLS {
+            return Err(WireError(format!(
+                "'lo_mhz'..'hi_mhz' at 'resolution_mhz' spans {grid} grid cells, \
+                 over the {}-cell cap",
+                crate::wire::MAX_CELLS
             )));
         }
         Ok(req)
@@ -1286,6 +1298,34 @@ mod tests {
             ("client", Json::Str(String::new())),
         ]);
         assert!(Request::from_json(&empty_client).is_err());
+    }
+
+    #[test]
+    fn poff_rejects_a_search_over_the_cell_cap() {
+        let frame = |lo_mhz: f64, hi_mhz: f64, resolution_mhz: f64| {
+            Request::Poff(PoffRequest {
+                benchmark: BenchmarkDef::Median {
+                    values: 21,
+                    seed: 3,
+                },
+                model: FaultModel::StaWithNoise,
+                vdd: 0.7,
+                noise_sigma_mv: 5.0,
+                lo_mhz,
+                hi_mhz,
+                resolution_mhz,
+                trials: 20,
+                seed: 9,
+            })
+            .to_json()
+        };
+        let cap = crate::wire::MAX_CELLS as f64;
+        // ceil(range / resolution) + 1 grid cells: exactly the cap passes.
+        assert!(Request::from_json(&frame(1.0, cap, 1.0)).is_ok());
+        for over in [frame(1.0, cap + 1.0, 1.0), frame(1.0, 1e300, 1e-300)] {
+            let err = Request::from_json(&over).expect_err("over the cap");
+            assert!(err.0.contains("65536-cell cap"), "{}", err.0);
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@ use sfi_core::study::{CaseStudy, CaseStudyConfig};
 use sfi_core::FaultModel;
 use sfi_serve::client::Client;
 use sfi_serve::jobs::{JobState, Priority};
-use sfi_serve::protocol::{read_frame, write_frame, ErrorCode, PoffRequest};
+use sfi_serve::protocol::{read_frame, write_frame, ErrorCode, PoffRequest, Request};
 use sfi_serve::server::{ServeConfig, Server};
-use sfi_serve::wire::{BenchmarkDef, BudgetDef, CampaignDef, CellDef};
+use sfi_serve::wire::{BenchmarkDef, BudgetDef, CampaignDef, CellDef, MAX_CELLS};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -464,6 +464,82 @@ fn poff_query_brackets_the_sta_limit() {
 
     server.shutdown();
 }
+
+/// A raw `poff` frame over the daemon's median benchmark under model C.
+fn poff_frame(lo_mhz: f64, hi_mhz: f64, resolution_mhz: f64) -> Json {
+    Request::Poff(PoffRequest {
+        benchmark: BenchmarkDef::Median {
+            values: 21,
+            seed: 3,
+        },
+        model: FaultModel::StatisticalDta,
+        vdd: 0.7,
+        noise_sigma_mv: 10.0,
+        lo_mhz,
+        hi_mhz,
+        resolution_mhz,
+        trials: 4,
+        seed: 9,
+    })
+    .to_json()
+}
+
+#[test]
+fn poff_queries_over_the_cell_cap_are_refused() {
+    let server = start_fast_server();
+    let sta = Client::connect(server.local_addr())
+        .expect("connects")
+        .ping()
+        .expect("pong")
+        .sta_limit_mhz;
+    let stream = TcpStream::connect(server.local_addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut ask = |frame: &Json| {
+        write_frame(&mut writer, frame).expect("writes");
+        read_frame(&mut reader)
+            .expect("io ok")
+            .expect("not eof")
+            .expect("server frames always parse")
+    };
+
+    // ~1e600 grid cells would bisect through about a thousand cells.
+    let reply = ask(&poff_frame(1.0, 1e300, 1e-300));
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply}"
+    );
+    let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains(&MAX_CELLS.to_string()), "{message}");
+    // The cap is inclusive: one grid cell more is refused.
+    let reply = ask(&poff_frame(1.0, 1.0 + MAX_CELLS as f64, 1.0));
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
+
+    // A search within the cap is answered as before, byte for byte.
+    let reply = ask(&poff_frame(sta * 0.9, sta * 1.3, sta * 0.02));
+    assert_eq!(reply.to_string(), POFF_REPLY_PINNED);
+
+    server.shutdown();
+}
+
+/// The reply to the 0.9–1.3 × STA model-C query at 0.02 × STA above,
+/// as the daemon sent it before queries were capped.
+const POFF_REPLY_PINNED: &str = concat!(
+    r#"{"cells_evaluated":7,"evaluated":["#,
+    r#"{"correct_fraction":1,"finished_fraction":1,"freq_mhz":636.3},"#,
+    r#"{"correct_fraction":1,"finished_fraction":1,"freq_mhz":671.65},"#,
+    r#"{"correct_fraction":1,"finished_fraction":1,"freq_mhz":689.325},"#,
+    r#"{"correct_fraction":0.75,"finished_fraction":0.75,"freq_mhz":698.1625},"#,
+    r#"{"correct_fraction":0.5,"finished_fraction":0.5,"freq_mhz":707},"#,
+    r#"{"correct_fraction":0,"finished_fraction":0,"freq_mhz":777.6999999999999},"#,
+    r#"{"correct_fraction":0,"finished_fraction":0,"freq_mhz":919.0999999999999}"#,
+    r#"],"poff_mhz":698.1625,"type":"poff"}"#
+);
 
 #[test]
 fn jobs_can_be_cancelled() {
