@@ -357,6 +357,18 @@ mod tests {
     fn error_bad_register_and_immediates() {
         let err = assemble("l.add r1, r32, r2\n").unwrap_err();
         assert!(matches!(err.kind, AsmErrorKind::BadRegister(ref r) if r == "r32"));
+        // r32 in any position is an error, never a panic when the program
+        // is built and decoded.
+        for source in [
+            "l.add r32, r1, r2",
+            "l.add r1, r2, r32",
+            "l.lwz r32, 0(r1)",
+            "l.sw 0(r32), r1",
+            "l.jr r32",
+        ] {
+            let err = assemble(&format!("{source}\n")).unwrap_err();
+            assert!(matches!(err.kind, AsmErrorKind::BadRegister(ref r) if r == "r32"));
+        }
         let err = assemble("l.addi r1, r2, 70000\n").unwrap_err();
         assert!(matches!(err.kind, AsmErrorKind::ImmediateOutOfRange { .. }));
         let err = assemble("l.slli r1, r2, 32\n").unwrap_err();

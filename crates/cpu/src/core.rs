@@ -4,7 +4,7 @@ use crate::fault::{ExStageContext, FaultInjector, NoFaultInjector};
 use crate::memory::{Memory, MemoryError};
 use crate::state::CpuState;
 use crate::stats::RunStats;
-use sfi_isa::{AluClass, Instruction, Program, Reg, BRANCH_PENALTY_CYCLES};
+use sfi_isa::{AluClass, Instruction, MicroOp, Program, BRANCH_PENALTY_CYCLES};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -171,177 +171,129 @@ impl Core {
 
     /// Runs the program to completion, consulting `injector` on every cycle
     /// in which an ALU instruction occupies the execution stage.
+    ///
+    /// The loop executes the program's [`MicroOp`] table, which
+    /// [`Program::new`] decoded once: each retired instruction is one match
+    /// on a `Copy` micro-op whose operand swaps, immediates, branch targets
+    /// and destination are already settled.  The fault-injection window is
+    /// resolved to `lo ≤ pc < hi` once per call.
     pub fn run_with_injector<F: FaultInjector + ?Sized>(
         &mut self,
         config: &RunConfig,
         injector: &mut F,
     ) -> RunOutcome {
         injector.begin_run();
-        loop {
-            if self.state.pc as usize == self.program.len() {
-                return RunOutcome::Finished {
-                    cycles: self.stats.cycles,
-                };
-            }
-            // The watchdog is checked before the fetch: once the cycle
-            // budget is exhausted no more work happens — not even an
-            // instruction fetch — and an exhausted budget at a corrupted
-            // PC reports `Watchdog`, not `InvalidPc`.
-            if self.stats.cycles >= config.max_cycles {
-                return RunOutcome::Watchdog {
-                    cycles: self.stats.cycles,
-                };
-            }
-            let Some(instruction) = self.program.fetch(self.state.pc) else {
-                return RunOutcome::InvalidPc {
-                    cycles: self.stats.cycles,
-                    pc: self.state.pc,
-                };
-            };
-            if let Err(error) = self.step(instruction, config, injector) {
-                return RunOutcome::MemoryFault {
-                    cycles: self.stats.cycles,
-                    error,
-                };
-            }
-        }
-    }
-
-    fn fi_enabled(&self, config: &RunConfig) -> bool {
-        config
+        let (lo, hi) = config
             .fi_window
             .as_ref()
-            .is_none_or(|w| w.contains(&self.state.pc))
-    }
-
-    fn step<F: FaultInjector + ?Sized>(
-        &mut self,
-        instruction: Instruction,
-        config: &RunConfig,
-        injector: &mut F,
-    ) -> Result<(), MemoryError> {
-        use Instruction::*;
-        let fi_enabled = self.fi_enabled(config);
-        let mut cycles_this_instruction = 1u64;
-        let mut next_pc = self.state.pc.wrapping_add(1);
-
-        match instruction {
-            // --- ALU instructions (subject to fault injection) -----------
-            _ if instruction.is_alu() => {
-                let (class, a, b) = self.alu_operands(instruction);
-                let golden = Self::alu_result(class, a, b);
-                let ctx = ExStageContext {
-                    cycle: self.stats.cycles,
-                    alu_class: class,
-                    operand_a: a,
-                    operand_b: b,
-                    result: golden,
-                    fi_enabled,
+            .map_or((0, u32::MAX), |w| (w.start, w.end));
+        let Core {
+            program,
+            state,
+            memory,
+            stats,
+        } = self;
+        let ops = program.micro_ops();
+        loop {
+            let pc = state.pc;
+            // The watchdog is checked before the fetch: once the cycle
+            // budget is exhausted no more work happens, and an exhausted
+            // budget at a corrupted PC reports `Watchdog`, not `InvalidPc`.
+            // Running onto the `Exit` entry finishes even then.
+            let watchdog = stats.cycles >= config.max_cycles;
+            let Some(&op) = ops.get(pc as usize) else {
+                return if watchdog {
+                    RunOutcome::Watchdog {
+                        cycles: stats.cycles,
+                    }
+                } else {
+                    RunOutcome::InvalidPc {
+                        cycles: stats.cycles,
+                        pc,
+                    }
                 };
-                let mask = injector.inject(&ctx);
-                let mask = if fi_enabled { mask } else { 0 };
-                if fi_enabled {
-                    self.stats.record_fault(mask);
+            };
+            let fi_enabled = lo <= pc && pc < hi;
+            let mut cycles_this_instruction = 1u64;
+            let mut next_pc = pc.wrapping_add(1);
+            match op {
+                MicroOp::Exit => {
+                    return RunOutcome::Finished {
+                        cycles: stats.cycles,
+                    }
                 }
-                let result = golden ^ mask;
-                if instruction.writes_flag() {
-                    self.state.flag = result & 1 == 1;
-                } else if let Some(rd) = instruction.destination() {
-                    self.state.set_reg(rd, result);
+                _ if watchdog => {
+                    return RunOutcome::Watchdog {
+                        cycles: stats.cycles,
+                    }
                 }
-            }
-            // --- Memory ----------------------------------------------------
-            Lwz { rd, ra, offset } => {
-                let address = self.state.reg(ra).wrapping_add(offset as i32 as u32);
-                let value = self.memory.load_word(address)?;
-                self.state.set_reg(rd, value);
-            }
-            Sw { ra, rb, offset } => {
-                let address = self.state.reg(ra).wrapping_add(offset as i32 as u32);
-                self.memory.store_word(address, self.state.reg(rb))?;
-            }
-            // --- Control flow ----------------------------------------------
-            Bf { offset } => {
-                if self.state.flag {
-                    next_pc = Self::relative_target(self.state.pc, offset);
+                // --- ALU instructions (subject to fault injection) -------
+                MicroOp::Alu {
+                    class,
+                    ra,
+                    rb,
+                    imm,
+                    rd,
+                } => {
+                    let b = state.read(rb).wrapping_add(imm);
+                    let result = execute_alu(injector, stats, class, state.read(ra), b, fi_enabled);
+                    state.write(rd, result);
+                }
+                MicroOp::SetFlag { class, ra, rb } => {
+                    let (a, b) = (state.read(ra), state.read(rb));
+                    let result = execute_alu(injector, stats, class, a, b, fi_enabled);
+                    state.flag = result & 1 == 1;
+                }
+                // --- Memory ------------------------------------------------
+                MicroOp::Load { rd, ra, offset } => {
+                    match memory.load_word(state.read(ra).wrapping_add(offset)) {
+                        Ok(value) => state.write(rd, value),
+                        Err(error) => {
+                            return RunOutcome::MemoryFault {
+                                cycles: stats.cycles,
+                                error,
+                            }
+                        }
+                    }
+                }
+                MicroOp::Store { ra, rb, offset } => {
+                    let address = state.read(ra).wrapping_add(offset);
+                    if let Err(error) = memory.store_word(address, state.read(rb)) {
+                        return RunOutcome::MemoryFault {
+                            cycles: stats.cycles,
+                            error,
+                        };
+                    }
+                }
+                // --- Control flow ------------------------------------------
+                MicroOp::Branch { target, on_flag } => {
+                    if state.flag == on_flag {
+                        next_pc = target;
+                        cycles_this_instruction += BRANCH_PENALTY_CYCLES;
+                    }
+                }
+                MicroOp::Jump { target } => {
+                    next_pc = target;
                     cycles_this_instruction += BRANCH_PENALTY_CYCLES;
                 }
-            }
-            Bnf { offset } => {
-                if !self.state.flag {
-                    next_pc = Self::relative_target(self.state.pc, offset);
+                MicroOp::JumpAndLink { target } => {
+                    state.write(Instruction::LINK_REGISTER, pc.wrapping_add(1));
+                    next_pc = target;
                     cycles_this_instruction += BRANCH_PENALTY_CYCLES;
                 }
+                MicroOp::JumpRegister { ra } => {
+                    next_pc = state.read(ra);
+                    cycles_this_instruction += BRANCH_PENALTY_CYCLES;
+                }
+                MicroOp::Nop => {}
             }
-            J { offset } => {
-                next_pc = Self::relative_target(self.state.pc, offset);
-                cycles_this_instruction += BRANCH_PENALTY_CYCLES;
+            stats.instructions += 1;
+            stats.retired[pc as usize] += 1;
+            stats.cycles += cycles_this_instruction;
+            if fi_enabled {
+                stats.kernel_cycles += cycles_this_instruction;
             }
-            Jal { offset } => {
-                self.state
-                    .set_reg(Instruction::LINK_REGISTER, self.state.pc.wrapping_add(1));
-                next_pc = Self::relative_target(self.state.pc, offset);
-                cycles_this_instruction += BRANCH_PENALTY_CYCLES;
-            }
-            Jr { ra } => {
-                next_pc = self.state.reg(ra);
-                cycles_this_instruction += BRANCH_PENALTY_CYCLES;
-            }
-            Nop => {}
-            // All ALU instructions are handled by the guard arm above.
-            _ => unreachable!("non-ALU instruction not covered: {instruction}"),
-        }
-
-        self.stats.instructions += 1;
-        self.stats.retired[self.state.pc as usize] += 1;
-        self.stats.cycles += cycles_this_instruction;
-        if fi_enabled {
-            self.stats.kernel_cycles += cycles_this_instruction;
-        }
-        self.state.pc = next_pc;
-        Ok(())
-    }
-
-    fn relative_target(pc: u32, offset: i32) -> u32 {
-        (pc as i64 + 1 + offset as i64) as u32
-    }
-
-    /// The (class, operand A, operand B) triple the execution-stage
-    /// datapath sees for an ALU instruction.
-    fn alu_operands(&self, instruction: Instruction) -> (AluClass, u32, u32) {
-        use Instruction::*;
-        let r = |reg: Reg| self.state.reg(reg);
-        match instruction {
-            Add { ra, rb, .. } => (AluClass::Add, r(ra), r(rb)),
-            Sub { ra, rb, .. } => (AluClass::Sub, r(ra), r(rb)),
-            And { ra, rb, .. } => (AluClass::And, r(ra), r(rb)),
-            Or { ra, rb, .. } => (AluClass::Or, r(ra), r(rb)),
-            Xor { ra, rb, .. } => (AluClass::Xor, r(ra), r(rb)),
-            Mul { ra, rb, .. } => (AluClass::Mul, r(ra), r(rb)),
-            Sll { ra, rb, .. } => (AluClass::Sll, r(ra), r(rb)),
-            Srl { ra, rb, .. } => (AluClass::Srl, r(ra), r(rb)),
-            Sra { ra, rb, .. } => (AluClass::Sra, r(ra), r(rb)),
-            Addi { ra, imm, .. } => (AluClass::Add, r(ra), imm as i32 as u32),
-            Andi { ra, imm, .. } => (AluClass::And, r(ra), imm as u32),
-            Ori { ra, imm, .. } => (AluClass::Or, r(ra), imm as u32),
-            Xori { ra, imm, .. } => (AluClass::Xor, r(ra), imm as u32),
-            Muli { ra, imm, .. } => (AluClass::Mul, r(ra), imm as i32 as u32),
-            Slli { ra, shamt, .. } => (AluClass::Sll, r(ra), shamt as u32),
-            Srli { ra, shamt, .. } => (AluClass::Srl, r(ra), shamt as u32),
-            Srai { ra, shamt, .. } => (AluClass::Sra, r(ra), shamt as u32),
-            Movhi { imm, .. } => (AluClass::Or, 0, (imm as u32) << 16),
-            Sfeq { ra, rb } => (AluClass::SfEq, r(ra), r(rb)),
-            Sfne { ra, rb } => (AluClass::SfNe, r(ra), r(rb)),
-            Sfltu { ra, rb } => (AluClass::SfLtu, r(ra), r(rb)),
-            Sfgeu { ra, rb } => (AluClass::SfGeu, r(ra), r(rb)),
-            // Swapped-operand comparisons reuse the same datapath operation.
-            Sfgtu { ra, rb } => (AluClass::SfLtu, r(rb), r(ra)),
-            Sfleu { ra, rb } => (AluClass::SfGeu, r(rb), r(ra)),
-            Sflts { ra, rb } => (AluClass::SfLts, r(ra), r(rb)),
-            Sfges { ra, rb } => (AluClass::SfGes, r(ra), r(rb)),
-            Sfgts { ra, rb } => (AluClass::SfLts, r(rb), r(ra)),
-            Sfles { ra, rb } => (AluClass::SfGes, r(rb), r(ra)),
-            _ => unreachable!("not an ALU instruction: {instruction}"),
+            state.pc = next_pc;
         }
     }
 
@@ -367,10 +319,39 @@ impl Core {
     }
 }
 
+/// One execution-stage cycle: the fault-free result of `class` on `(a, b)`,
+/// with the injector's mask applied (and counted) inside the FI window.
+#[inline]
+fn execute_alu<F: FaultInjector + ?Sized>(
+    injector: &mut F,
+    stats: &mut RunStats,
+    class: AluClass,
+    a: u32,
+    b: u32,
+    fi_enabled: bool,
+) -> u32 {
+    let golden = Core::alu_result(class, a, b);
+    let mask = injector.inject(&ExStageContext {
+        cycle: stats.cycles,
+        alu_class: class,
+        operand_a: a,
+        operand_b: b,
+        result: golden,
+        fi_enabled,
+    });
+    if fi_enabled {
+        stats.record_fault(mask);
+        golden ^ mask
+    } else {
+        golden
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sfi_isa::program::ProgramBuilder;
+    use sfi_isa::Reg;
 
     fn run_program(p: ProgramBuilder) -> (Core, RunOutcome) {
         let mut core = Core::new(p.build(), 256);

@@ -51,6 +51,19 @@ impl CpuState {
         }
     }
 
+    /// Reads a register of a decoded micro-op, which decoding has already
+    /// validated: the mask only lets the compiler drop the bounds check.
+    pub(crate) fn read(&self, r: Reg) -> u32 {
+        self.regs[usize::from(r.0) & (REGISTER_COUNT - 1)]
+    }
+
+    /// Writes a register of a decoded micro-op (see [`CpuState::read`]);
+    /// `r0` is re-zeroed instead of tested.
+    pub(crate) fn write(&mut self, r: Reg, value: u32) {
+        self.regs[usize::from(r.0) & (REGISTER_COUNT - 1)] = value;
+        self.regs[0] = 0;
+    }
+
     /// All register values (including the hard-wired `r0`).
     pub fn registers(&self) -> &[u32; REGISTER_COUNT] {
         &self.regs

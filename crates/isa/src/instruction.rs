@@ -539,12 +539,6 @@ impl Instruction {
         Some(class)
     }
 
-    /// Whether the instruction activates the execution-stage ALU (and is
-    /// therefore subject to timing-error fault injection).
-    pub fn is_alu(&self) -> bool {
-        self.kind() == InstructionKind::Alu
-    }
-
     /// Whether the instruction writes the branch flag.
     pub fn writes_flag(&self) -> bool {
         self.alu_class().is_some_and(AluClass::is_set_flag)
@@ -694,7 +688,6 @@ mod tests {
         };
         assert_eq!(add.kind(), InstructionKind::Alu);
         assert_eq!(add.alu_class(), Some(AluClass::Add));
-        assert!(add.is_alu());
         assert!(!add.writes_flag());
         assert_eq!(add.destination(), Some(Reg(3)));
 
@@ -705,7 +698,6 @@ mod tests {
         };
         assert_eq!(lwz.kind(), InstructionKind::Load);
         assert_eq!(lwz.alu_class(), None);
-        assert!(!lwz.is_alu());
         assert_eq!(lwz.destination(), Some(Reg(4)));
 
         let bf = Instruction::Bf { offset: -3 };

@@ -11,6 +11,9 @@
 //! * [`AluClass`] — which execution-stage ALU operation an instruction
 //!   activates; this is the key that the fault-injection models condition
 //!   their timing-error statistics on.
+//! * [`MicroOp`] — the decoded form of an instruction; every [`Program`]
+//!   decodes its instructions into a micro-op table once, when it is
+//!   built, and the simulator executes that table.
 //! * [`InstructionMix`] — weighted per-kind and per-class counts (Table 1).
 //! * [`encoding`] — a compact 32-bit binary encoding with full
 //!   encode/decode round-tripping, so programs can be stored in an
@@ -38,12 +41,14 @@
 
 pub mod encoding;
 pub mod instruction;
+pub mod micro_op;
 pub mod mix;
 pub mod program;
 pub mod registers;
 
 pub use encoding::{decode, encode, DecodeError};
 pub use instruction::{AluClass, Instruction, InstructionKind, MNEMONICS};
+pub use micro_op::MicroOp;
 pub use mix::InstructionMix;
 pub use program::{Program, ProgramBuilder};
 pub use registers::Reg;

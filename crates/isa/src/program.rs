@@ -1,11 +1,13 @@
 //! Programs and a small label-based builder used by the benchmark kernels.
 
 use crate::instruction::Instruction;
+use crate::micro_op::MicroOp;
 use crate::registers::Reg;
 use std::fmt;
+use std::sync::Arc;
 
 /// A fully resolved program: a flat list of instructions starting at
-/// instruction address 0.
+/// instruction address 0, together with its decoded [`MicroOp`] table.
 ///
 /// # Example
 ///
@@ -19,15 +21,37 @@ use std::fmt;
 /// assert_eq!(program.len(), 2);
 /// assert!(program.listing().contains("l.addi r3, r0, 5"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     instructions: Vec<Instruction>,
+    /// `instructions` decoded, followed by [`MicroOp::Exit`]; clones of
+    /// the program share it.
+    micro_ops: Arc<[MicroOp]>,
 }
 
 impl Program {
-    /// Wraps a list of instructions into a program.
+    /// Wraps a list of instructions into a program and decodes each one
+    /// into the [`MicroOp`] table the simulator executes.
+    ///
+    /// Decoding happens here, once per program: the table sits behind an
+    /// `Arc` that clones of the program share, so no clone, no simulated
+    /// core and no run decodes anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "register rN does not exist" if an instruction names a
+    /// register numbered 32 or above.
     pub fn new(instructions: Vec<Instruction>) -> Self {
-        Program { instructions }
+        let micro_ops = instructions
+            .iter()
+            .zip(0u32..)
+            .map(|(&instruction, pc)| MicroOp::decode(pc, instruction))
+            .chain([MicroOp::Exit])
+            .collect();
+        Program {
+            instructions,
+            micro_ops,
+        }
     }
 
     /// Number of instructions.
@@ -43,6 +67,13 @@ impl Program {
     /// The instructions in address order.
     pub fn instructions(&self) -> &[Instruction] {
         &self.instructions
+    }
+
+    /// The decoded table: entry `pc` is the instruction at `pc`, and one
+    /// [`MicroOp::Exit`] entry follows the last instruction (running onto
+    /// it finishes the program).
+    pub fn micro_ops(&self) -> &[MicroOp] {
+        &self.micro_ops
     }
 
     /// The instruction at address `pc`, if within the program.
@@ -92,7 +123,13 @@ impl Program {
             .iter()
             .map(|&w| crate::encoding::decode(w))
             .collect::<Result<_, _>>()?;
-        Ok(Program { instructions })
+        Ok(Program::new(instructions))
+    }
+}
+
+impl Default for Program {
+    fn default() -> Self {
+        Program::new(Vec::new())
     }
 }
 
@@ -377,6 +414,50 @@ mod tests {
         assert_eq!(program.to_string(), program.listing());
         let collected: Program = vec![Instruction::Nop].into_iter().collect();
         assert_eq!(collected.len(), 1);
+    }
+
+    #[test]
+    fn micro_op_table_ends_in_exit() {
+        let program = Program::new(vec![Instruction::Nop, Instruction::J { offset: -2 }]);
+        assert_eq!(
+            program.micro_ops(),
+            [MicroOp::Nop, MicroOp::Jump { target: 0 }, MicroOp::Exit]
+        );
+        assert_eq!(Program::default().micro_ops(), [MicroOp::Exit]);
+    }
+
+    #[test]
+    #[should_panic(expected = "register r32 does not exist")]
+    fn invalid_register_panics_when_the_program_is_built() {
+        let mut p = ProgramBuilder::new();
+        p.push(Instruction::Nop);
+        p.push(Instruction::Sw {
+            ra: Reg(1),
+            rb: Reg(32),
+            offset: 0,
+        });
+        let _ = p.build();
+    }
+
+    #[test]
+    fn every_register_field_of_a_memory_word_decodes_to_a_valid_register() {
+        // Words come from untrusted input; their 5-bit register fields can
+        // only name r0–r31, so decoding a word list never panics.
+        for op in 0..64u32 {
+            for shift in [21, 16, 11] {
+                for value in 0..32u32 {
+                    let word = (op << 26) | (value << shift) | 0x7C0;
+                    if let Ok(program) = Program::from_words(&[word]) {
+                        let i = program.instructions()[0];
+                        let [a, b] = i.sources();
+                        assert!([a, b, i.destination()]
+                            .into_iter()
+                            .flatten()
+                            .all(Reg::is_valid));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

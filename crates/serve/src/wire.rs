@@ -44,6 +44,14 @@ pub const MAX_KERNEL_SIZE: usize = 4_096;
 /// fit.
 pub const MAX_TRIALS_PER_CELL: usize = 50_000;
 
+/// Hard cap on a campaign's total trials, Σ `max_trials` over its cells.
+/// A served job keeps every finished trial (a 32-byte `TrialResult`) until
+/// the job is evicted, and [`MAX_CELLS`] × [`MAX_TRIALS_PER_CELL`] would
+/// allow 3.3e9 of them; this cap holds one job's trials to 128 MiB, room
+/// for 83 full-size cells or a paper-scale sweep of thousands of small
+/// ones.
+pub const MAX_JOB_TRIALS: usize = 1 << 22;
+
 /// Hard cap on the `client` id of a `submit` frame, so per-client quota
 /// accounting cannot be made to allocate without bound.
 pub const MAX_CLIENT_ID_BYTES: usize = 64;
@@ -890,6 +898,7 @@ impl CampaignDef {
         // Validate every cell before constructing any (comparatively
         // expensive) kernel, so rejecting a bad definition costs nothing.
         let mut budgets = Vec::with_capacity(self.cells.len());
+        let mut total_trials = 0;
         for (index, cell) in self.cells.iter().enumerate() {
             if cell.benchmark >= self.benchmarks.len() {
                 return err(format!(
@@ -899,6 +908,13 @@ impl CampaignDef {
                 ));
             }
             budgets.push(cell.budget.to_budget()?);
+            total_trials += cell.budget.max_trials;
+        }
+        if total_trials > MAX_JOB_TRIALS {
+            return err(format!(
+                "{total_trials} trials (the sum of every cell's max_trials) exceed \
+                 the {MAX_JOB_TRIALS}-trial cap per job"
+            ));
         }
         let mut spec = CampaignSpec::new(self.name.clone(), self.seed);
         for def in &self.benchmarks {
@@ -1258,6 +1274,42 @@ mod tests {
         let mut def = sample_def();
         def.cells[0].budget = BudgetDef::fixed(MAX_TRIALS_PER_CELL + 1);
         assert!(def.instantiate().is_err(), "oversized budget rejected");
+    }
+
+    /// A one-benchmark campaign of full-size cells plus one remainder cell,
+    /// `total` trials in all.
+    fn campaign_of(total: usize) -> CampaignDef {
+        let mut def = CampaignDef::new("bulk", 1);
+        let median = def.add_benchmark(BenchmarkDef::Median { values: 3, seed: 1 });
+        let template = sample_def().cells[0];
+        let mut left = total;
+        while left > 0 {
+            let trials = left.min(MAX_TRIALS_PER_CELL);
+            def.cells.push(CellDef {
+                benchmark: median,
+                budget: BudgetDef::fixed(trials),
+                ..template
+            });
+            left -= trials;
+        }
+        def
+    }
+
+    #[test]
+    fn a_job_is_capped_at_max_job_trials() {
+        let at_cap = campaign_of(MAX_JOB_TRIALS);
+        assert_eq!(
+            at_cap.instantiate().expect("the cap itself").cells().len(),
+            84
+        );
+        let WireError(message) = campaign_of(MAX_JOB_TRIALS + 1).instantiate().unwrap_err();
+        assert!(
+            message.contains(&MAX_JOB_TRIALS.to_string()),
+            "the refusal names the cap: {message}"
+        );
+        // The benchmark's served jobs: 64 trials over a few small cells.
+        let served = campaign_of(64);
+        assert!(served.instantiate().is_ok());
     }
 
     #[test]

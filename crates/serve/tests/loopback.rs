@@ -14,7 +14,9 @@ use sfi_serve::client::Client;
 use sfi_serve::jobs::{JobState, Priority};
 use sfi_serve::protocol::{read_frame, write_frame, ErrorCode, PoffRequest, Request};
 use sfi_serve::server::{ServeConfig, Server};
-use sfi_serve::wire::{BenchmarkDef, BudgetDef, CampaignDef, CellDef, MAX_CELLS};
+use sfi_serve::wire::{
+    BenchmarkDef, BudgetDef, CampaignDef, CellDef, MAX_CELLS, MAX_JOB_TRIALS, MAX_TRIALS_PER_CELL,
+};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -461,6 +463,21 @@ fn poff_query_brackets_the_sta_limit() {
     def.cells[0].vdd = 0.95;
     let err = client.submit(&def).expect_err("uncharacterized cell vdd");
     assert_eq!(err.code(), Some(ErrorCode::BadRequest), "{err}");
+
+    // So is a campaign whose cells ask for more trials than one job may
+    // hold; the refusal names the cap.
+    let mut def = two_cell_def(sta);
+    let full = CellDef {
+        budget: BudgetDef::fixed(MAX_TRIALS_PER_CELL),
+        ..def.cells[0]
+    };
+    def.cells = vec![full; MAX_JOB_TRIALS / MAX_TRIALS_PER_CELL + 1];
+    let err = client.submit(&def).expect_err("over the per-job trial cap");
+    assert_eq!(err.code(), Some(ErrorCode::BadRequest), "{err}");
+    assert!(
+        err.to_string().contains(&MAX_JOB_TRIALS.to_string()),
+        "{err}"
+    );
 
     server.shutdown();
 }

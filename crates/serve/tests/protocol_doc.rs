@@ -231,6 +231,7 @@ fn the_documented_limits_match_the_implementation() {
         ("max cells", sfi_serve::wire::MAX_CELLS),
         ("max benchmarks", sfi_serve::wire::MAX_BENCHMARKS),
         ("max trials per cell", sfi_serve::wire::MAX_TRIALS_PER_CELL),
+        ("max trials per job", sfi_serve::wire::MAX_JOB_TRIALS),
         ("max client id bytes", sfi_serve::wire::MAX_CLIENT_ID_BYTES),
         ("max program words", sfi_serve::wire::MAX_PROGRAM_WORDS),
         (
