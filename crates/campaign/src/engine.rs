@@ -1,6 +1,6 @@
-//! The parallel campaign executor: a work-stealing pool of std threads
-//! over a sharded job queue, with deterministic per-trial seeding and
-//! batched adaptive sampling.
+//! The parallel campaign executor: a pool of std threads over one ordered
+//! work queue, with deterministic per-trial seeding and batched adaptive
+//! sampling.
 //!
 //! # Determinism
 //!
@@ -15,21 +15,22 @@
 //! trial-index order.  Together this makes campaign results bit-identical
 //! whether they ran on one thread or sixteen.
 //!
-//! # Work stealing
+//! # Work order
 //!
-//! Jobs (one per trial) live in one queue shard per worker.  A worker
-//! drains its own shard and steals from the others when empty; batches
-//! scheduled by adaptive refinement are pushed round-robin across shards
-//! so late-campaign work stays balanced.
+//! Jobs (one per trial) are taken in campaign order: a worker always takes
+//! the pending trial of the lowest-numbered cell, so cells finish, and
+//! stream to the progress hook, roughly in index order.  The initial
+//! trials of every cell form one cell-major list behind an atomic cursor;
+//! a batch scheduled by a stop rule goes to a small locked heap that is
+//! served first, ahead of the later cells.
 
 use crate::spec::{CampaignSpec, CellSpec, TrialBudget};
 use crate::stats::CellStats;
-use sfi_core::experiment::{
-    derive_trial_seed, golden_cycles, watchdog_cycles, TrialContext, WatchdogSlot,
-};
+use sfi_core::experiment::{derive_trial_seed, TrialContext, WatchdogSlot};
 use sfi_core::{CaseStudy, ExperimentSummary, TrialResult};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -256,8 +257,10 @@ impl CampaignEngine {
     /// Runs the campaign: seeded cells are restored, every other cell is
     /// simulated.
     ///
-    /// Every benchmark's watchdog is resolved up front, by one golden run
-    /// per benchmark, whether or not a trial reaches it.
+    /// A benchmark's watchdog is resolved by its first trial, on the worker
+    /// that runs it ([`WatchdogSlot::on_first_trial`]): one golden run per
+    /// benchmark that runs a trial, none for a benchmark whose cells are
+    /// all restored.
     ///
     /// # Panics
     ///
@@ -267,7 +270,7 @@ impl CampaignEngine {
         let watchdogs: Vec<WatchdogSlot> = spec
             .benchmarks()
             .iter()
-            .map(|b| WatchdogSlot::fixed(watchdog_cycles(golden_cycles(b.as_ref()))))
+            .map(|_| WatchdogSlot::on_first_trial())
             .collect();
         self.run_with_watchdogs(study, spec, &watchdogs)
     }
@@ -308,26 +311,16 @@ impl CampaignEngine {
             }
         }
 
-        let shared = Shared::new(
-            study,
-            spec,
-            watchdogs,
-            restored,
-            self.progress.clone(),
-            self.cancel.clone(),
-            campaign_span.id(),
-            self.trace_job,
-        );
+        let shared = Shared::new(self, study, spec, watchdogs, restored, campaign_span.id());
 
         // The calling thread is worker 0, so a one-thread engine spawns
         // nothing.
         if shared.open_cells.load(Ordering::SeqCst) > 0 {
             thread::scope(|scope| {
-                for worker in 1..self.threads {
-                    let shared = &shared;
-                    scope.spawn(move || worker_loop(worker, shared));
+                for _ in 1..self.threads {
+                    scope.spawn(|| worker_loop(&shared));
                 }
-                worker_loop(0, &shared);
+                worker_loop(&shared);
             });
         }
 
@@ -350,11 +343,6 @@ impl CampaignEngine {
                 .expect("no worker holds a cell lock any more");
             cells.push(state.into_result(index));
         }
-        let workers_used = shared
-            .worker_used
-            .iter()
-            .filter(|w| w.load(Ordering::Relaxed) > 0)
-            .count();
         let cancelled = self
             .cancel
             .as_ref()
@@ -371,7 +359,7 @@ impl CampaignEngine {
             fingerprint,
             cells,
             metrics: EngineMetrics {
-                worker_threads_used: workers_used,
+                worker_threads_used: shared.workers_used.load(Ordering::SeqCst),
                 max_concurrent_trials: shared.max_in_flight.load(Ordering::SeqCst),
                 executed_trials: shared.executed_trials.load(Ordering::SeqCst),
             },
@@ -417,8 +405,8 @@ fn restorable(cell: &CellResult, budget: &TrialBudget) -> bool {
     len == max || (budget.stop.is_some() && (len - initial).is_multiple_of(budget.batch))
 }
 
-/// One (cell, trial) work unit.
-#[derive(Debug, Clone, Copy)]
+/// One (cell, trial) work unit, ordered by cell, then trial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Job {
     cell: u32,
     trial: u32,
@@ -470,16 +458,24 @@ struct Shared<'a> {
     study: &'a CaseStudy,
     spec: &'a CampaignSpec,
     watchdogs: &'a [WatchdogSlot],
-    queues: Vec<Mutex<VecDeque<Job>>>,
+    /// The initial trials of every open cell, cell-major; `next_initial`
+    /// is the cursor over them, so the common pop takes no lock.
+    initial: Vec<Job>,
+    next_initial: AtomicUsize,
+    /// Trials scheduled by stop rules, lowest (cell, trial) first.  A cell
+    /// schedules a batch only once all its initial trials were taken, so
+    /// every batch goes ahead of the cells `initial` has left.
+    batches: Mutex<BinaryHeap<Reverse<Job>>>,
+    /// `batches.len()`, readable without the lock.
+    batched: AtomicUsize,
     cells: Vec<Mutex<CellState>>,
     /// Cells not yet finished; workers exit when this reaches zero.
     open_cells: AtomicUsize,
-    /// Round-robin cursor for spreading new batches across shards.
-    next_shard: AtomicUsize,
     in_flight: AtomicUsize,
     max_in_flight: AtomicUsize,
     executed_trials: AtomicUsize,
-    worker_used: Vec<AtomicUsize>,
+    /// Workers that ran at least one trial, counted as each exits.
+    workers_used: AtomicUsize,
     /// Set when a worker panics; all workers drain out and the panic is
     /// re-raised on the caller thread.
     aborted: AtomicBool,
@@ -495,23 +491,20 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
+        engine: &CampaignEngine,
         study: &'a CaseStudy,
         spec: &'a CampaignSpec,
         watchdogs: &'a [WatchdogSlot],
         restored: Vec<Option<CellResult>>,
-        progress: Option<ProgressHook>,
-        cancel: Option<Arc<AtomicBool>>,
         trace_parent: u64,
-        trace_job: Option<u64>,
     ) -> Self {
         let mut cells = Vec::with_capacity(spec.cells().len());
         let mut open = 0usize;
-        let mut initial_jobs: Vec<Job> = Vec::new();
-        for (index, cell_spec) in spec.cells().iter().enumerate() {
+        let mut initial: Vec<Job> = Vec::new();
+        for (cell_spec, restored) in spec.cells().iter().zip(restored) {
             let max = cell_spec.budget.max_trials;
-            match restored.get(index).and_then(|r| r.as_ref()) {
+            match restored {
                 Some(result) => {
                     let mut results: Vec<Option<TrialResult>> =
                         result.trials.iter().copied().map(Some).collect();
@@ -530,15 +523,11 @@ impl<'a> Shared<'a> {
                     }));
                 }
                 None => {
-                    let initial = cell_spec.budget.min_trials.min(max);
-                    for trial in 0..initial {
-                        initial_jobs.push(Job {
-                            cell: index as u32,
-                            trial: trial as u32,
-                        });
-                    }
+                    let scheduled = cell_spec.budget.min_trials.min(max);
+                    let cell = cells.len() as u32;
+                    initial.extend((0..scheduled as u32).map(|trial| Job { cell, trial }));
                     cells.push(Mutex::new(CellState {
-                        scheduled: initial,
+                        scheduled,
                         completed: 0,
                         finished: 0,
                         correct: 0,
@@ -556,22 +545,23 @@ impl<'a> Shared<'a> {
             study,
             spec,
             watchdogs,
-            queues: Vec::new(),
+            initial,
+            next_initial: AtomicUsize::new(0),
+            batches: Mutex::new(BinaryHeap::new()),
+            batched: AtomicUsize::new(0),
             cells,
             open_cells: AtomicUsize::new(open),
-            next_shard: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             max_in_flight: AtomicUsize::new(0),
             executed_trials: AtomicUsize::new(0),
-            worker_used: Vec::new(),
+            workers_used: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
-            progress,
-            cancel,
+            progress: engine.progress.clone(),
+            cancel: engine.cancel.clone(),
             trace_parent,
-            trace_job,
+            trace_job: engine.trace_job,
         }
-        .with_initial_jobs(initial_jobs)
     }
 
     /// Whether the external cancellation flag is raised.
@@ -581,50 +571,30 @@ impl<'a> Shared<'a> {
             .is_some_and(|flag| flag.load(Ordering::SeqCst))
     }
 
-    fn with_initial_jobs(mut self, jobs: Vec<Job>) -> Self {
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(16);
-        // One shard per possible worker; sized generously so any
-        // `with_threads` choice gets its own shard.
-        self.queues = (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        self.worker_used = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-        self.push_jobs(jobs);
-        self
+    /// Queues a batch scheduled by a stop rule.
+    fn push_batch(&self, jobs: impl Iterator<Item = Job>) {
+        let mut batches = self.batches.lock().expect("batch lock");
+        batches.extend(jobs.map(Reverse));
+        self.batched.store(batches.len(), Ordering::Release);
     }
 
-    /// Distributes jobs round-robin over the queue shards.
-    fn push_jobs(&self, jobs: Vec<Job>) {
-        for job in jobs {
-            let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-            self.queues[shard]
-                .lock()
-                .expect("queue lock")
-                .push_back(job);
-        }
-    }
-
-    /// Pops a job: the worker's own shard first, then steals round-robin.
-    fn pop_job(&self, worker: usize) -> Option<Job> {
-        let shards = self.queues.len();
-        let own = worker % shards;
-        if let Some(job) = self.queues[own].lock().expect("queue lock").pop_front() {
-            return Some(job);
-        }
-        for offset in 1..shards {
-            let victim = (own + offset) % shards;
-            // Steal from the back to reduce contention with the owner.
-            if let Some(job) = self.queues[victim].lock().expect("queue lock").pop_back() {
-                sfi_obs::metrics().engine_steals.inc();
+    /// Pops the pending trial of the lowest-numbered cell: a scheduled
+    /// batch if there is one, else the next initial trial.
+    fn pop_job(&self) -> Option<Job> {
+        if self.batched.load(Ordering::Acquire) > 0 {
+            let mut batches = self.batches.lock().expect("batch lock");
+            let job = batches.pop();
+            self.batched.store(batches.len(), Ordering::Release);
+            if let Some(Reverse(job)) = job {
                 return Some(job);
             }
         }
-        None
+        let next = self.next_initial.fetch_add(1, Ordering::Relaxed);
+        self.initial.get(next).copied()
     }
 }
 
-fn worker_loop(worker: usize, shared: &Shared<'_>) {
+fn worker_loop(shared: &Shared<'_>) {
     // Per-worker scratch: the simulated core is recycled per benchmark and
     // the injector per (model, operating point), so steady-state trial
     // execution allocates nothing.  Trials stay bit-identical — a recycled
@@ -633,25 +603,30 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) {
     let mut context = TrialContext::new();
     // Utilization accounting: thread-local micros, flushed to the sharded
     // registry counters and a per-worker trace counter event at exit.
+    // `steal_us` is time spent taking work off the queue; it keeps the
+    // name it had under work stealing, which the trace and wire formats
+    // carry.
     let mut busy_us = 0u64;
     let mut idle_us = 0u64;
     let mut steal_us = 0u64;
+    let mut ran_trial = false;
     loop {
         if shared.aborted.load(Ordering::SeqCst) || shared.is_cancelled() {
             break;
         }
         let pop_start = sfi_obs::clock::now_micros();
-        let popped = shared.pop_job(worker);
+        let popped = shared.pop_job();
         let pop_end = sfi_obs::clock::now_micros();
         steal_us += pop_end.saturating_sub(pop_start);
         match popped {
             Some(job) => {
+                ran_trial = true;
                 // A panicking trial (e.g. a model asking for an
                 // uncharacterized voltage) must abort the whole campaign,
                 // not leave the other workers waiting forever for the
                 // panicked cell to finish.
                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                    execute_job(worker, shared, &mut context, job)
+                    execute_job(shared, &mut context, job)
                 }));
                 busy_us += sfi_obs::clock::now_micros().saturating_sub(pop_end);
                 if let Err(payload) = outcome {
@@ -670,11 +645,14 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) {
                 }
                 // Open cells but no runnable job: another worker is
                 // finishing a batch that may schedule more. Back off
-                // briefly instead of spinning on the queue locks.
+                // briefly instead of spinning on the queue.
                 thread::sleep(Duration::from_micros(50));
                 idle_us += sfi_obs::clock::now_micros().saturating_sub(pop_end);
             }
         }
+    }
+    if ran_trial {
+        shared.workers_used.fetch_add(1, Ordering::SeqCst);
     }
     let metrics = sfi_obs::metrics();
     metrics.engine_worker_busy_us.add(busy_us);
@@ -692,7 +670,7 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) {
     sfi_obs::span::flush_thread();
 }
 
-fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, job: Job) {
+fn execute_job(shared: &Shared<'_>, context: &mut TrialContext, job: Job) {
     let cell_index = job.cell as usize;
     let cell_spec = shared.spec.cells()[cell_index];
     let benchmark = shared.spec.benchmarks()[cell_spec.benchmark].as_ref();
@@ -701,7 +679,6 @@ fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, j
 
     let in_flight = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
     shared.max_in_flight.fetch_max(in_flight, Ordering::SeqCst);
-    shared.worker_used[worker % shared.worker_used.len()].fetch_add(1, Ordering::Relaxed);
 
     let trial_start = sfi_obs::clock::now_micros();
     let result = context.run_trial_with_watchdog(
@@ -770,13 +747,10 @@ fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, j
                     let start = state.scheduled;
                     state.scheduled += additional;
                     drop(state);
-                    let jobs = (start..start + additional)
-                        .map(|trial| Job {
-                            cell: job.cell,
-                            trial: trial as u32,
-                        })
-                        .collect();
-                    shared.push_jobs(jobs);
+                    shared.push_batch((start..start + additional).map(|trial| Job {
+                        cell: job.cell,
+                        trial: trial as u32,
+                    }));
                 }
             }
         }

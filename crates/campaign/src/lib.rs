@@ -9,8 +9,9 @@
 //! * [`CampaignSpec`] — the grid: a benchmark table plus cells of
 //!   (benchmark, fault model, operating point, trial budget), with
 //!   builders for cross products and frequency sweeps.
-//! * [`CampaignEngine`] — a work-stealing pool of std threads over a
-//!   sharded job queue.  Per-trial seeds come from
+//! * [`CampaignEngine`] — a pool of std threads over one work queue in
+//!   campaign order, so cells stream roughly in index order.  Per-trial
+//!   seeds come from
 //!   `sfi_core::experiment::derive_trial_seed`, adaptive decisions happen
 //!   only at batch boundaries, and aggregates are folded in trial order,
 //!   so results are **bit-identical for any thread count**.

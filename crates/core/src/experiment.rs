@@ -6,6 +6,7 @@ use sfi_cpu::{Core, FaultInjector, NoFaultInjector, RunConfig, RunOutcome};
 use sfi_fault::{FixedProbabilityModel, OperatingPoint, StaWithNoiseModel, StatisticalDtaModel};
 use sfi_kernels::Benchmark;
 use sfi_timing::VddDelayCurve;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Which fault-injection model an experiment uses.
@@ -171,6 +172,11 @@ pub fn watchdog_cycles(golden_cycles: u64) -> u64 {
 
 /// A benchmark's watchdog limit, resolved on first need.
 ///
+/// A [`WatchdogSlot::on_first_trial`] slot runs the benchmark's golden run
+/// in the first trial that claims it, before that trial starts; trials
+/// that run meanwhile go on as under a lazy slot and wait for the golden
+/// run only if they reach the floor first.
+///
 /// A [`WatchdogSlot::lazy`] slot runs the benchmark's golden run only when
 /// a trial reaches [`WATCHDOG_FLOOR_CYCLES`], at most once however many
 /// threads share the slot.  Trials that end below the floor never need the
@@ -183,9 +189,21 @@ pub fn watchdog_cycles(golden_cycles: u64) -> u64 {
 #[derive(Debug, Default)]
 pub struct WatchdogSlot {
     cycles: OnceLock<u64>,
+    /// Set on an [`WatchdogSlot::on_first_trial`] slot no trial has
+    /// claimed yet.
+    unclaimed: AtomicBool,
 }
 
 impl WatchdogSlot {
+    /// A slot whose limit is resolved by the first trial that runs: one
+    /// golden run, whether or not any trial reaches the floor.
+    pub fn on_first_trial() -> Self {
+        WatchdogSlot {
+            cycles: OnceLock::new(),
+            unclaimed: AtomicBool::new(true),
+        }
+    }
+
     /// A slot whose limit is resolved by the first trial that reaches the
     /// floor.
     pub fn lazy() -> Self {
@@ -196,6 +214,7 @@ impl WatchdogSlot {
     pub fn fixed(max_cycles: u64) -> Self {
         WatchdogSlot {
             cycles: OnceLock::from(max_cycles),
+            unclaimed: AtomicBool::new(false),
         }
     }
 
@@ -211,6 +230,16 @@ impl WatchdogSlot {
             .cycles
             .get_or_init(|| watchdog_cycles(golden_cycles(benchmark)))
     }
+
+    /// Called before every trial: the first trial on an unclaimed
+    /// [`WatchdogSlot::on_first_trial`] slot resolves it.  The flag only
+    /// elects that trial; the limit is published by the `OnceLock`, so
+    /// relaxed ordering suffices.
+    fn claim(&self, benchmark: &dyn Benchmark) {
+        if self.unclaimed.load(Ordering::Relaxed) && self.unclaimed.swap(false, Ordering::Relaxed) {
+            self.resolve(benchmark);
+        }
+    }
 }
 
 /// Runs one trial on an already prepared core (architectural state and
@@ -222,6 +251,7 @@ fn run_prepared_trial<F: FaultInjector + ?Sized>(
     injector: &mut F,
     watchdog: &WatchdogSlot,
 ) -> TrialResult {
+    watchdog.claim(benchmark);
     benchmark.initialize(core.memory_mut());
     let known = watchdog.get();
     let mut config = RunConfig {

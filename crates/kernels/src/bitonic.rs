@@ -14,6 +14,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Ascending bitonic sort of `n` values via the classic `k`/`j` loop nest
 /// of compare-exchange stages.
@@ -22,6 +23,8 @@ pub struct BitonicSortBenchmark {
     values: Vec<u32>,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<Vec<u32>>,
 }
 
 impl BitonicSortBenchmark {
@@ -48,14 +51,17 @@ impl BitonicSortBenchmark {
             values,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
     /// The golden (fault-free) ascending-sorted array.
-    pub fn golden_sorted(&self) -> Vec<u32> {
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable();
-        sorted
+    pub fn golden_sorted(&self) -> &[u32] {
+        self.golden.get_or_init(|| {
+            let mut sorted = self.values.clone();
+            sorted.sort_unstable();
+            sorted
+        })
     }
 
     fn build_program(n: usize) -> (Program, Range<u32>) {

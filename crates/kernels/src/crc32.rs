@@ -14,6 +14,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The reflected CRC-32 (IEEE 802.3) polynomial.
 pub const POLYNOMIAL: u32 = 0xEDB8_8320;
@@ -24,6 +25,8 @@ pub struct Crc32Benchmark {
     words: Vec<u32>,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<u32>,
 }
 
 impl Crc32Benchmark {
@@ -46,6 +49,7 @@ impl Crc32Benchmark {
             words,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -56,18 +60,20 @@ impl Crc32Benchmark {
     /// The golden (fault-free) CRC-32 of the message, folding 32 message
     /// bits per word exactly like the kernel.
     pub fn golden_crc(&self) -> u32 {
-        let mut crc = u32::MAX;
-        for &word in &self.words {
-            crc ^= word;
-            for _ in 0..32 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLYNOMIAL
-                } else {
-                    crc >> 1
-                };
+        *self.golden.get_or_init(|| {
+            let mut crc = u32::MAX;
+            for &word in &self.words {
+                crc ^= word;
+                for _ in 0..32 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ POLYNOMIAL
+                    } else {
+                        crc >> 1
+                    };
+                }
             }
-        }
-        crc ^ u32::MAX
+            crc ^ u32::MAX
+        })
     }
 
     fn build_program(words: usize) -> (Program, Range<u32>) {

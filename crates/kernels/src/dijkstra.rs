@@ -11,6 +11,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Infinity marker used for unreachable distances.
 pub const UNREACHABLE: u32 = 0x7FFF_FFFF;
@@ -20,9 +21,12 @@ pub const UNREACHABLE: u32 = 0x7FFF_FFFF;
 #[derive(Debug, Clone)]
 pub struct DijkstraBenchmark {
     nodes: usize,
-    adjacency: Vec<Vec<u32>>,
+    /// The row-major adjacency matrix: the input word image.
+    adjacency: Vec<u32>,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<Vec<u32>>,
 }
 
 impl DijkstraBenchmark {
@@ -39,13 +43,14 @@ impl DijkstraBenchmark {
             (2..=32).contains(&nodes),
             "node count must be in 2..=32, got {nodes}"
         );
-        let adjacency = random_graph(nodes, 50, seed);
+        let adjacency = random_graph(nodes, 50, seed).concat();
         let (program, fi_window) = Self::build_program(nodes);
         DijkstraBenchmark {
             nodes,
             adjacency,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -60,39 +65,41 @@ impl DijkstraBenchmark {
     }
 
     /// The golden all-pairs shortest-distance matrix, row major.
-    pub fn golden_distances(&self) -> Vec<u32> {
-        let n = self.nodes;
-        let mut all = vec![UNREACHABLE; n * n];
-        for source in 0..n {
-            let mut dist = vec![UNREACHABLE; n];
-            let mut visited = vec![false; n];
-            dist[source] = 0;
-            for _ in 0..n {
-                let mut best = UNREACHABLE;
-                let mut u = 0;
-                for (i, &d) in dist.iter().enumerate() {
-                    if !visited[i] && d < best {
-                        best = d;
-                        u = i;
+    pub fn golden_distances(&self) -> &[u32] {
+        self.golden.get_or_init(|| {
+            let n = self.nodes;
+            let mut all = vec![UNREACHABLE; n * n];
+            for source in 0..n {
+                let mut dist = vec![UNREACHABLE; n];
+                let mut visited = vec![false; n];
+                dist[source] = 0;
+                for _ in 0..n {
+                    let mut best = UNREACHABLE;
+                    let mut u = 0;
+                    for (i, &d) in dist.iter().enumerate() {
+                        if !visited[i] && d < best {
+                            best = d;
+                            u = i;
+                        }
                     }
-                }
-                visited[u] = true;
-                if dist[u] == UNREACHABLE {
-                    continue;
-                }
-                for v in 0..n {
-                    let w = self.adjacency[u][v];
-                    if w != 0 {
-                        let candidate = dist[u].wrapping_add(w);
-                        if candidate < dist[v] {
-                            dist[v] = candidate;
+                    visited[u] = true;
+                    if dist[u] == UNREACHABLE {
+                        continue;
+                    }
+                    for v in 0..n {
+                        let w = self.adjacency[u * n + v];
+                        if w != 0 {
+                            let candidate = dist[u].wrapping_add(w);
+                            if candidate < dist[v] {
+                                dist[v] = candidate;
+                            }
                         }
                     }
                 }
+                all[source * n..(source + 1) * n].copy_from_slice(&dist);
             }
-            all[source * n..(source + 1) * n].copy_from_slice(&dist);
-        }
-        all
+            all
+        })
     }
 
     fn build_program(n: usize) -> (Program, Range<u32>) {
@@ -487,9 +494,8 @@ impl Benchmark for DijkstraBenchmark {
     }
 
     fn initialize(&self, memory: &mut Memory) {
-        let words: Vec<u32> = self.adjacency.iter().flatten().copied().collect();
         memory
-            .write_block(Self::ADJ_BASE, &words)
+            .write_block(Self::ADJ_BASE, &self.adjacency)
             .expect("data memory large enough");
     }
 

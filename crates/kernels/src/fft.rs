@@ -14,6 +14,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Fractional bits of the twiddle factors.
 pub const TWIDDLE_FRACTION_BITS: u32 = 14;
@@ -26,8 +27,14 @@ pub struct FftBenchmark {
     im: Vec<i32>,
     twiddles: Vec<(i32, i32)>,
     bit_reverse: Vec<u32>,
+    /// The input word image: `re`, `im`, the twiddle pairs and
+    /// `bit_reverse`, which the program reads at byte offsets 0, 4n, 8n
+    /// and 12n from `RE_BASE`.
+    input: Vec<u32>,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<(Vec<i32>, Vec<i32>)>,
 }
 
 impl FftBenchmark {
@@ -66,6 +73,13 @@ impl FftBenchmark {
         let bit_reverse: Vec<u32> = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - log2n))
             .collect();
+        let input = re
+            .iter()
+            .chain(&im)
+            .chain(twiddles.iter().flat_map(|(wr, wi)| [wr, wi]))
+            .map(|&x| x as u32)
+            .chain(bit_reverse.iter().copied())
+            .collect();
         let (program, fi_window) = Self::build_program(n);
         FftBenchmark {
             n,
@@ -73,8 +87,10 @@ impl FftBenchmark {
             im,
             twiddles,
             bit_reverse,
+            input,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -82,54 +98,48 @@ impl FftBenchmark {
         Self::RE_BASE + 4 * self.n as u32
     }
 
-    fn twiddle_base(&self) -> u32 {
-        Self::RE_BASE + 8 * self.n as u32
-    }
-
-    fn bit_reverse_base(&self) -> u32 {
-        Self::RE_BASE + 12 * self.n as u32
-    }
-
     /// The golden (fault-free) spectrum `(re, im)`, computed with the
     /// exact fixed-point arithmetic of the kernel (wrapping 32-bit
     /// multiplies, Q14 arithmetic-shift rescaling).
-    pub fn golden_spectrum(&self) -> (Vec<i32>, Vec<i32>) {
-        let n = self.n;
-        let mut re = self.re.clone();
-        let mut im = self.im.clone();
-        for i in 0..n {
-            let j = self.bit_reverse[i] as usize;
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        let mut len = 2;
-        let mut step = n / 2;
-        while len <= n {
-            let half = len / 2;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let (wr, wi) = self.twiddles[k * step];
-                    let (i0, i1) = (start + k, start + k + half);
-                    let tr = wr
-                        .wrapping_mul(re[i1])
-                        .wrapping_sub(wi.wrapping_mul(im[i1]))
-                        >> TWIDDLE_FRACTION_BITS;
-                    let ti = wr
-                        .wrapping_mul(im[i1])
-                        .wrapping_add(wi.wrapping_mul(re[i1]))
-                        >> TWIDDLE_FRACTION_BITS;
-                    re[i1] = re[i0].wrapping_sub(tr);
-                    im[i1] = im[i0].wrapping_sub(ti);
-                    re[i0] = re[i0].wrapping_add(tr);
-                    im[i0] = im[i0].wrapping_add(ti);
+    pub fn golden_spectrum(&self) -> &(Vec<i32>, Vec<i32>) {
+        self.golden.get_or_init(|| {
+            let n = self.n;
+            let mut re = self.re.clone();
+            let mut im = self.im.clone();
+            for i in 0..n {
+                let j = self.bit_reverse[i] as usize;
+                if j > i {
+                    re.swap(i, j);
+                    im.swap(i, j);
                 }
             }
-            len *= 2;
-            step /= 2;
-        }
-        (re, im)
+            let mut len = 2;
+            let mut step = n / 2;
+            while len <= n {
+                let half = len / 2;
+                for start in (0..n).step_by(len) {
+                    for k in 0..half {
+                        let (wr, wi) = self.twiddles[k * step];
+                        let (i0, i1) = (start + k, start + k + half);
+                        let tr = wr
+                            .wrapping_mul(re[i1])
+                            .wrapping_sub(wi.wrapping_mul(im[i1]))
+                            >> TWIDDLE_FRACTION_BITS;
+                        let ti = wr
+                            .wrapping_mul(im[i1])
+                            .wrapping_add(wi.wrapping_mul(re[i1]))
+                            >> TWIDDLE_FRACTION_BITS;
+                        re[i1] = re[i0].wrapping_sub(tr);
+                        im[i1] = im[i0].wrapping_sub(ti);
+                        re[i0] = re[i0].wrapping_add(tr);
+                        im[i0] = im[i0].wrapping_add(ti);
+                    }
+                }
+                len *= 2;
+                step /= 2;
+            }
+            (re, im)
+        })
     }
 
     fn build_program(n: usize) -> (Program, Range<u32>) {
@@ -487,23 +497,8 @@ impl Benchmark for FftBenchmark {
     }
 
     fn initialize(&self, memory: &mut Memory) {
-        let as_words = |v: &[i32]| v.iter().map(|&x| x as u32).collect::<Vec<u32>>();
         memory
-            .write_block(Self::RE_BASE, &as_words(&self.re))
-            .expect("data memory large enough");
-        memory
-            .write_block(self.im_base(), &as_words(&self.im))
-            .expect("data memory large enough");
-        let tw: Vec<u32> = self
-            .twiddles
-            .iter()
-            .flat_map(|&(wr, wi)| [wr as u32, wi as u32])
-            .collect();
-        memory
-            .write_block(self.twiddle_base(), &tw)
-            .expect("data memory large enough");
-        memory
-            .write_block(self.bit_reverse_base(), &self.bit_reverse)
+            .write_block(Self::RE_BASE, &self.input)
             .expect("data memory large enough");
     }
 
@@ -557,7 +552,7 @@ mod tests {
                 .into_iter()
                 .map(|w| w as i32)
                 .collect();
-            assert_eq!(got, golden_re);
+            assert_eq!(&got, golden_re);
         }
     }
 

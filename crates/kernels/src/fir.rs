@@ -11,6 +11,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Direct-form FIR filter `y[i] = Σ_t h[t] · x[i+t]` over unsigned samples
 /// with wrapping 32-bit arithmetic.
@@ -21,6 +22,8 @@ pub struct FirBenchmark {
     outputs: usize,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<Vec<u32>>,
 }
 
 impl FirBenchmark {
@@ -52,6 +55,7 @@ impl FirBenchmark {
             outputs,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -65,14 +69,16 @@ impl FirBenchmark {
 
     /// The golden (fault-free) filter output, with the same wrapping
     /// 32-bit arithmetic as the hardware.
-    pub fn golden_output(&self) -> Vec<u32> {
-        (0..self.outputs)
-            .map(|i| {
-                self.taps.iter().enumerate().fold(0u32, |acc, (t, &h)| {
-                    acc.wrapping_add(h.wrapping_mul(self.samples[i + t]))
+    pub fn golden_output(&self) -> &[u32] {
+        self.golden.get_or_init(|| {
+            (0..self.outputs)
+                .map(|i| {
+                    self.taps.iter().enumerate().fold(0u32, |acc, (t, &h)| {
+                        acc.wrapping_add(h.wrapping_mul(self.samples[i + t]))
+                    })
                 })
-            })
-            .collect()
+                .collect()
+        })
     }
 
     fn build_program(taps: usize, outputs: usize, samples: usize) -> (Program, Range<u32>) {

@@ -10,15 +10,20 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Lloyd's k-means over 2-D integer points.
 #[derive(Debug, Clone)]
 pub struct KMeansBenchmark {
     points: Vec<(u32, u32)>,
+    /// The points as consecutive (x, y) words: the input word image.
+    input: Vec<u32>,
     clusters: usize,
     iterations: usize,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<Vec<u32>>,
 }
 
 impl KMeansBenchmark {
@@ -38,11 +43,13 @@ impl KMeansBenchmark {
         let points = random_points(n, k, 1 << 8, seed);
         let (program, fi_window) = Self::build_program(n, k, iterations);
         KMeansBenchmark {
+            input: points.iter().flat_map(|&(x, y)| [x, y]).collect(),
             points,
             clusters: k,
             iterations,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -55,44 +62,46 @@ impl KMeansBenchmark {
     }
 
     /// The golden (fault-free) final cluster assignment of every point.
-    pub fn golden_assignments(&self) -> Vec<u32> {
-        let n = self.points.len();
-        let k = self.clusters;
-        let mut centroids: Vec<(u32, u32)> = (0..k).map(|c| self.points[c]).collect();
-        let mut assignments = vec![0u32; n];
-        for _ in 0..self.iterations {
-            // Assignment step.
-            for (i, &(px, py)) in self.points.iter().enumerate() {
-                let mut best = u32::MAX;
-                let mut best_c = 0u32;
-                for (c, &(cx, cy)) in centroids.iter().enumerate() {
-                    let dx = px.wrapping_sub(cx);
-                    let dy = py.wrapping_sub(cy);
-                    let dist = dx.wrapping_mul(dx).wrapping_add(dy.wrapping_mul(dy));
-                    if dist < best {
-                        best = dist;
-                        best_c = c as u32;
+    pub fn golden_assignments(&self) -> &[u32] {
+        self.golden.get_or_init(|| {
+            let n = self.points.len();
+            let k = self.clusters;
+            let mut centroids: Vec<(u32, u32)> = (0..k).map(|c| self.points[c]).collect();
+            let mut assignments = vec![0u32; n];
+            for _ in 0..self.iterations {
+                // Assignment step.
+                for (i, &(px, py)) in self.points.iter().enumerate() {
+                    let mut best = u32::MAX;
+                    let mut best_c = 0u32;
+                    for (c, &(cx, cy)) in centroids.iter().enumerate() {
+                        let dx = px.wrapping_sub(cx);
+                        let dy = py.wrapping_sub(cy);
+                        let dist = dx.wrapping_mul(dx).wrapping_add(dy.wrapping_mul(dy));
+                        if dist < best {
+                            best = dist;
+                            best_c = c as u32;
+                        }
+                    }
+                    assignments[i] = best_c;
+                }
+                // Update step (integer mean, floor division).
+                for (c, centroid) in centroids.iter_mut().enumerate() {
+                    let members: Vec<&(u32, u32)> = self
+                        .points
+                        .iter()
+                        .zip(&assignments)
+                        .filter(|(_, &a)| a == c as u32)
+                        .map(|(p, _)| p)
+                        .collect();
+                    if !members.is_empty() {
+                        let sx: u32 = members.iter().map(|p| p.0).sum();
+                        let sy: u32 = members.iter().map(|p| p.1).sum();
+                        *centroid = (sx / members.len() as u32, sy / members.len() as u32);
                     }
                 }
-                assignments[i] = best_c;
             }
-            // Update step (integer mean, floor division).
-            for (c, centroid) in centroids.iter_mut().enumerate() {
-                let members: Vec<&(u32, u32)> = self
-                    .points
-                    .iter()
-                    .zip(&assignments)
-                    .filter(|(_, &a)| a == c as u32)
-                    .map(|(p, _)| p)
-                    .collect();
-                if !members.is_empty() {
-                    let sx: u32 = members.iter().map(|p| p.0).sum();
-                    let sy: u32 = members.iter().map(|p| p.1).sum();
-                    *centroid = (sx / members.len() as u32, sy / members.len() as u32);
-                }
-            }
-        }
-        assignments
+            assignments
+        })
     }
 
     fn build_program(n: usize, k: usize, iterations: usize) -> (Program, Range<u32>) {
@@ -520,9 +529,8 @@ impl Benchmark for KMeansBenchmark {
     }
 
     fn initialize(&self, memory: &mut Memory) {
-        let words: Vec<u32> = self.points.iter().flat_map(|&(x, y)| [x, y]).collect();
         memory
-            .write_block(Self::POINTS_BASE, &words)
+            .write_block(Self::POINTS_BASE, &self.input)
             .expect("data memory large enough");
     }
 

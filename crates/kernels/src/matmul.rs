@@ -9,6 +9,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Element width of the input matrices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,8 @@ pub struct MatrixMultiplyBenchmark {
     b: Vec<u32>,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<Vec<u32>>,
 }
 
 impl MatrixMultiplyBenchmark {
@@ -58,6 +61,7 @@ impl MatrixMultiplyBenchmark {
             b,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -75,19 +79,21 @@ impl MatrixMultiplyBenchmark {
 
     /// The golden (fault-free) product matrix, row major, with the same
     /// wrapping 32-bit arithmetic as the hardware.
-    pub fn golden_product(&self) -> Vec<u32> {
-        let n = self.n;
-        let mut c = vec![0u32; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0u32;
-                for k in 0..n {
-                    acc = acc.wrapping_add(self.a[i * n + k].wrapping_mul(self.b[k * n + j]));
+    pub fn golden_product(&self) -> &[u32] {
+        self.golden.get_or_init(|| {
+            let n = self.n;
+            let mut c = vec![0u32; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    let mut acc = 0u32;
+                    for k in 0..n {
+                        acc = acc.wrapping_add(self.a[i * n + k].wrapping_mul(self.b[k * n + j]));
+                    }
+                    c[i * n + j] = acc;
                 }
-                c[i * n + j] = acc;
             }
-        }
-        c
+            c
+        })
     }
 
     fn build_program(n: usize) -> (Program, Range<u32>) {

@@ -10,6 +10,7 @@ use sfi_cpu::Memory;
 use sfi_isa::program::ProgramBuilder;
 use sfi_isa::{Instruction, Program, Reg};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Median of `n` values via in-place bubble sort, as a runnable benchmark.
 #[derive(Debug, Clone)]
@@ -17,6 +18,8 @@ pub struct MedianBenchmark {
     values: Vec<u32>,
     program: Program,
     fi_window: Range<u32>,
+    /// The golden output, computed on first use.
+    golden: OnceLock<u32>,
 }
 
 impl MedianBenchmark {
@@ -41,6 +44,7 @@ impl MedianBenchmark {
             values,
             program,
             fi_window,
+            golden: OnceLock::new(),
         }
     }
 
@@ -50,9 +54,11 @@ impl MedianBenchmark {
 
     /// The golden (fault-free) median of the input values.
     pub fn golden_median(&self) -> u32 {
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable();
-        sorted[sorted.len() / 2]
+        *self.golden.get_or_init(|| {
+            let mut sorted = self.values.clone();
+            sorted.sort_unstable();
+            sorted[sorted.len() / 2]
+        })
     }
 
     fn build_program(n: usize) -> (Program, Range<u32>) {

@@ -13,7 +13,7 @@
 //!   family, built once ([`metrics`]), sampled without locks
 //!   ([`Metrics::snapshot`]).  Families cover the three layers that
 //!   matter: the ISS (trials, cycles, per-model injected faults, watchdog
-//!   trips), the campaign engine (steals, cells, adaptive-stop savings),
+//!   trips), the campaign engine (cells, adaptive-stop savings, worker time),
 //!   the append logs (journal and checkpoint records) and the serve
 //!   scheduler (queue depths, quotas,
 //!   preemptions, evictions, cache hits, wait/run latencies).

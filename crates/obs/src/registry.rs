@@ -36,8 +36,6 @@ pub struct Metrics {
     pub iss_watchdog_trips: ShardedCounter,
 
     // — campaign engine —
-    /// Jobs a worker popped from another worker's queue shard.
-    pub engine_steals: ShardedCounter,
     /// Campaign cells completed.
     pub engine_cells_finished: Counter,
     /// Trials the adaptive stopping rule avoided (budgeted minus run).
@@ -46,7 +44,7 @@ pub struct Metrics {
     pub engine_worker_busy_us: ShardedCounter,
     /// Microseconds campaign workers spent asleep with nothing to do.
     pub engine_worker_idle_us: ShardedCounter,
-    /// Microseconds campaign workers spent looking for (stealing) work.
+    /// Microseconds campaign workers spent taking work off the queue.
     pub engine_worker_steal_us: ShardedCounter,
 
     // — serve scheduler —
@@ -98,7 +96,6 @@ impl Metrics {
             iss_cycles: ShardedCounter::new(),
             iss_faults: std::array::from_fn(|_| ShardedCounter::new()),
             iss_watchdog_trips: ShardedCounter::new(),
-            engine_steals: ShardedCounter::new(),
             engine_cells_finished: Counter::new(),
             engine_trials_saved: Counter::new(),
             engine_worker_busy_us: ShardedCounter::new(),
@@ -187,11 +184,6 @@ impl Metrics {
                 "sfi_iss_watchdog_trips_total",
                 "Runs aborted by the watchdog cycle limit",
                 self.iss_watchdog_trips.get(),
-            ),
-            counter(
-                "sfi_engine_steals_total",
-                "Jobs stolen across campaign worker queues",
-                self.engine_steals.get(),
             ),
             counter(
                 "sfi_engine_cells_finished_total",
@@ -433,7 +425,6 @@ mod tests {
         // One family per layer must be present: ISS, engine, scheduler.
         for name in [
             "sfi_iss_cycles_total",
-            "sfi_engine_steals_total",
             "sfi_engine_worker_busy_micros_total",
             "sfi_engine_worker_idle_micros_total",
             "sfi_engine_worker_steal_micros_total",

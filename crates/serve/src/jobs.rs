@@ -223,6 +223,9 @@ struct JobEntry {
     preemptions: u64,
     /// Retained result size (serialized result document + cell frames).
     retained_bytes: usize,
+    /// Length of the serialized result document, recorded when the job
+    /// finishes, so an oversized fetch is refused without building it.
+    result_bytes: usize,
     evicted: bool,
     /// LRU stamp, bumped on every result/stream fetch.
     last_access: u64,
@@ -262,6 +265,7 @@ impl JobEntry {
             preempt_requested: false,
             preemptions: 0,
             retained_bytes: 0,
+            result_bytes: 0,
             evicted: false,
             last_access: 0,
             enqueued_us: now,
@@ -445,6 +449,9 @@ pub enum ResultFetch {
     /// The job is not in the `done` state (still in flight, failed or
     /// cancelled), so there is no result document.
     NotReady,
+    /// The finished job's result document is this many bytes, at or
+    /// above the fetch's limit; it was not built.
+    TooLarge(usize),
     /// The job id is unknown.
     Unknown,
 }
@@ -595,8 +602,9 @@ impl JobTable {
         self.lock().jobs.get(&id).map(|entry| entry.status(id))
     }
 
-    /// The result document of job `id`, built from its retained cells.
-    pub fn result(&self, id: u64) -> ResultFetch {
+    /// The result document of job `id`, built from its retained cells
+    /// unless it would be `max_bytes` long or longer.
+    pub fn result(&self, id: u64, max_bytes: usize) -> ResultFetch {
         let mut inner = self.lock();
         let Some(entry) = inner.jobs.get(&id) else {
             return ResultFetch::Unknown;
@@ -606,6 +614,9 @@ impl JobTable {
         }
         if entry.state != JobState::Done {
             return ResultFetch::NotReady;
+        }
+        if entry.result_bytes >= max_bytes {
+            return ResultFetch::TooLarge(entry.result_bytes);
         }
         let (header, cells) = (entry.header.clone(), entry.cells.clone());
         inner.touch(id);
@@ -1182,6 +1193,7 @@ fn run_job(
                     entry.state = JobState::Done;
                     let doc = checkpoint::result_document(&entry.header, &entry.cells).to_string();
                     debug_assert_eq!(doc, result.to_json(&spec).to_string());
+                    entry.result_bytes = doc.len();
                     retained = doc.len() + cell_bytes(entry);
                 }
             }
@@ -1342,8 +1354,8 @@ mod tests {
         assert_eq!(table.next_cell(id, 0), NextCell::End(JobState::Cancelled));
         assert!(!table.cancel(999), "unknown ids report false");
         assert_eq!(table.next_cell(999, 0), NextCell::Unknown);
-        assert_eq!(table.result(999), ResultFetch::Unknown);
-        assert_eq!(table.result(id), ResultFetch::NotReady);
+        assert_eq!(table.result(999, usize::MAX), ResultFetch::Unknown);
+        assert_eq!(table.result(id, usize::MAX), ResultFetch::NotReady);
     }
 
     #[test]
@@ -1628,7 +1640,7 @@ mod tests {
         assert!(!inner.jobs[&3].evicted);
         assert_eq!(inner.retained_total, 200);
         drop(inner);
-        assert_eq!(table.result(2), ResultFetch::Evicted);
+        assert_eq!(table.result(2, usize::MAX), ResultFetch::Evicted);
         assert_eq!(table.next_cell(2, 0), NextCell::Evicted);
         assert!(table.status(2).unwrap().evicted);
     }

@@ -533,48 +533,58 @@ fn handle_connection(
                 None => unknown_job(&mut writer, job)?,
             },
             Request::Stream(job) => stream_job(&mut writer, context, job)?,
-            Request::Result(job) => match context.table.result(job) {
-                ResultFetch::Document(document) => {
-                    let frame = Response::ResultDoc { job, document };
-                    // A result document aggregating many large cells can
-                    // exceed what read_frame accepts; send an actionable
-                    // error instead of a frame the client cannot read.
-                    let line = frame.to_json().to_string();
-                    if line.len() >= crate::protocol::MAX_FRAME_BYTES {
-                        reply(
-                            &mut writer,
-                            &Response::error(
-                                ErrorCode::ResultTooLarge,
-                                format!(
-                                    "result document of job {job} is {} bytes, above the \
-                                     frame limit; fetch it cell by cell with 'stream'",
-                                    line.len()
-                                ),
-                            ),
-                        )?;
-                    } else {
+            Request::Result(job) => {
+                // A result document aggregating many large cells can
+                // exceed what read_frame accepts: the frame is the
+                // document plus this wrapper.  Refuse it from the length
+                // recorded when the job finished, with an actionable
+                // error, before building or encoding anything.
+                let wrapper = Response::ResultDoc {
+                    job,
+                    document: Json::Null,
+                }
+                .to_json()
+                .to_string()
+                .len()
+                    - "null".len();
+                let max_bytes = crate::protocol::MAX_FRAME_BYTES.saturating_sub(wrapper);
+                match context.table.result(job, max_bytes) {
+                    ResultFetch::Document(document) => {
+                        let frame = Response::ResultDoc { job, document };
+                        let line = frame.to_json().to_string();
                         use std::io::Write as _;
                         writer.write_all(line.as_bytes())?;
                         writer.write_all(b"\n")?;
                         writer.flush()?;
                     }
+                    ResultFetch::TooLarge(bytes) => reply(
+                        &mut writer,
+                        &Response::error(
+                            ErrorCode::ResultTooLarge,
+                            format!(
+                                "result document of job {job} is {} bytes, above the \
+                                 frame limit; fetch it cell by cell with 'stream'",
+                                bytes + wrapper
+                            ),
+                        ),
+                    )?,
+                    ResultFetch::Evicted => reply(
+                        &mut writer,
+                        &Response::error(
+                            ErrorCode::ResultEvicted,
+                            format!("the result of job {job} was evicted by the retention cap"),
+                        ),
+                    )?,
+                    ResultFetch::NotReady => reply(
+                        &mut writer,
+                        &Response::error(
+                            ErrorCode::NoResult,
+                            format!("job {job} has no retained result"),
+                        ),
+                    )?,
+                    ResultFetch::Unknown => unknown_job(&mut writer, job)?,
                 }
-                ResultFetch::Evicted => reply(
-                    &mut writer,
-                    &Response::error(
-                        ErrorCode::ResultEvicted,
-                        format!("the result of job {job} was evicted by the retention cap"),
-                    ),
-                )?,
-                ResultFetch::NotReady => reply(
-                    &mut writer,
-                    &Response::error(
-                        ErrorCode::NoResult,
-                        format!("job {job} has no retained result"),
-                    ),
-                )?,
-                ResultFetch::Unknown => unknown_job(&mut writer, job)?,
-            },
+            }
             Request::Poff(request) => {
                 let response = run_poff(context, &request);
                 reply(&mut writer, &response)?;

@@ -6,13 +6,17 @@
 //! journal carries across a restart after a cancel or a stop.
 
 use sfi_campaign::journal::Journal;
-use sfi_campaign::{checkpoint, CampaignEngine, CampaignResult, CampaignSpec};
+use sfi_campaign::{
+    checkpoint, CampaignEngine, CampaignResult, CampaignSpec, CellResult, CellStats,
+};
 use sfi_core::json::Json;
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
 use sfi_core::FaultModel;
 use sfi_serve::client::Client;
 use sfi_serve::jobs::{JobState, Priority};
-use sfi_serve::protocol::{read_frame, write_frame, ErrorCode, PoffRequest, Request};
+use sfi_serve::protocol::{
+    read_frame, write_frame, ErrorCode, PoffRequest, Request, Response, MAX_FRAME_BYTES,
+};
 use sfi_serve::server::{ServeConfig, Server};
 use sfi_serve::wire::{
     BenchmarkDef, BudgetDef, CampaignDef, CellDef, MAX_CELLS, MAX_JOB_TRIALS, MAX_TRIALS_PER_CELL,
@@ -156,6 +160,88 @@ fn daemon_results_are_bit_identical_to_direct_engine_runs() {
     assert_eq!(status.executed_trials, 12);
     assert_eq!(status.preemptions, 0);
     assert!(!status.evicted);
+
+    client.shutdown().expect("bye");
+    server.join();
+}
+
+#[test]
+fn a_result_just_over_the_frame_limit_is_refused() {
+    let server = start_fast_server();
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let sta = client.ping().expect("pong").sta_limit_mhz;
+    // Fault-free trials of one kernel all encode alike, so every trial
+    // adds the same bytes to the result document.
+    let def_of = |budgets: &[usize]| {
+        let mut def = CampaignDef::new("oversized", 5);
+        let median = def.add_benchmark(BenchmarkDef::Median { values: 3, seed: 1 });
+        for &trials in budgets {
+            def.cells.push(CellDef {
+                benchmark: median,
+                model: FaultModel::None,
+                freq_mhz: sta * 0.5,
+                vdd: 0.7,
+                noise_sigma_mv: 0.0,
+                budget: BudgetDef::fixed(trials),
+            });
+        }
+        def
+    };
+    let trial = direct_run(&def_of(&[1])).1.cells[0].trials[0];
+    let cell_of = |cell: usize, trials: usize| CellResult {
+        cell,
+        trials: vec![trial; trials],
+        stats: CellStats::from_trials(&vec![trial; trials]),
+        stopped_early: false,
+        from_checkpoint: false,
+    };
+    let encoded = |cell: &CellResult| checkpoint::cell_to_json(cell).to_string().len();
+    let per_trial = encoded(&cell_of(0, 2)) - encoded(&cell_of(0, 1));
+    // The document's length, without building it at full size.
+    let document_bytes = |budgets: &[usize]| {
+        let spec = def_of(budgets).instantiate().expect("instantiates");
+        let cells: Vec<CellResult> = (0..budgets.len()).map(|i| cell_of(i, 1)).collect();
+        let one_each = checkpoint::result_document(&checkpoint::header(&spec), &cells);
+        one_each.to_string().len() + budgets.iter().map(|n| (n - 1) * per_trial).sum::<usize>()
+    };
+    // Full cells, then a last one sized so that the document alone just
+    // fits in a frame and the frame's wrapper takes it over the limit.
+    let cells = (MAX_FRAME_BYTES / per_trial).div_ceil(MAX_TRIALS_PER_CELL);
+    let mut budgets = vec![MAX_TRIALS_PER_CELL; cells];
+    budgets[cells - 1] = 1;
+    let spare = (MAX_FRAME_BYTES - 1 - document_bytes(&budgets)) / per_trial;
+    budgets[cells - 1] += spare;
+    assert!(budgets[cells - 1] <= MAX_TRIALS_PER_CELL);
+    let document = document_bytes(&budgets);
+
+    let ticket = client.submit(&def_of(&budgets)).expect("accepted");
+    let status = client.wait(ticket.job).expect("waits");
+    assert_eq!(status.state, JobState::Done);
+    let wrapper = Response::ResultDoc {
+        job: ticket.job,
+        document: Json::Null,
+    }
+    .to_json()
+    .to_string()
+    .len()
+        - "null".len();
+    let frame = document + wrapper;
+    assert!(
+        (MAX_FRAME_BYTES..MAX_FRAME_BYTES + wrapper + per_trial).contains(&frame),
+        "frame of {frame} bytes"
+    );
+    let err = client.result(ticket.job).expect_err("over the frame limit");
+    assert_eq!(err.code(), Some(ErrorCode::ResultTooLarge), "{err}");
+    assert!(
+        err.to_string().contains(&format!("is {frame} bytes")),
+        "{err}"
+    );
+    // The connection stays usable, and the cells still stream.
+    let mut streamed = 0;
+    let state = client
+        .stream(ticket.job, |_| streamed += 1)
+        .expect("streams");
+    assert_eq!((state.as_str(), streamed), ("done", cells));
 
     client.shutdown().expect("bye");
     server.join();

@@ -707,3 +707,154 @@ fn a_checkpoint_of_another_study_starts_fresh() {
     let other = logged.0.clone();
     assert_log_starts_fresh("study", logged, &study, &other, &other_study);
 }
+
+/// Eight median cells across the failure transition, cell `i` under
+/// `budget(i)`.
+fn ordered_spec(study: &CaseStudy, budget: impl Fn(usize) -> TrialBudget) -> CampaignSpec {
+    let sta = study.sta_limit_mhz(0.7);
+    let mut spec = CampaignSpec::new("order", 11);
+    let median = spec.add_benchmark(MedianBenchmark::new(21, 3));
+    for (i, overscale) in [0.95, 1.05, 1.1, 1.15, 1.2, 1.25, 1.4, 1.6]
+        .into_iter()
+        .enumerate()
+    {
+        spec.add_cell(CellSpec {
+            benchmark: median,
+            model: FaultModel::StatisticalDta,
+            point: OperatingPoint::new(sta * overscale, 0.7).with_noise_sigma_mv(10.0),
+            budget: budget(i),
+        });
+    }
+    spec
+}
+
+/// Runs `spec` and returns the cell indices the progress hook saw, in the
+/// order it saw them, with the result.
+fn report_order(
+    engine: CampaignEngine,
+    study: &CaseStudy,
+    spec: &CampaignSpec,
+) -> (Vec<usize>, CampaignResult) {
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let result = engine
+        .with_progress(Arc::new(move |cell: &CellResult| {
+            sink.lock().unwrap().push(cell.cell)
+        }))
+        .run(study, spec);
+    let order = seen.lock().unwrap().clone();
+    (order, result)
+}
+
+#[test]
+fn one_thread_reports_cells_in_index_order() {
+    let study = fast_study();
+    for adaptive in [false, true] {
+        // With `adaptive`, odd cells grow in batches until their stop rule
+        // holds.
+        let spec = ordered_spec(&study, |i| {
+            if adaptive && i % 2 == 1 {
+                TrialBudget::adaptive(4, 24, 4, StopRule::correct_within(0.1))
+            } else {
+                TrialBudget::fixed(6)
+            }
+        });
+        let (order, result) = report_order(CampaignEngine::sequential(), &study, &spec);
+        assert_eq!(order, (0..8).collect::<Vec<_>>(), "adaptive: {adaptive}");
+        if adaptive {
+            assert!(
+                (1..8).step_by(2).any(|i| result.cells[i].trials.len() > 4),
+                "some stop rule scheduled a batch"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_first_reported_cell_is_among_the_first_per_thread() {
+    let study = fast_study();
+    // More trials per cell than a worker takes at once, so a cell's
+    // trials could be spread over the whole run.
+    let spec = ordered_spec(&study, |_| TrialBudget::fixed(32));
+    for threads in [2, 4] {
+        for _ in 0..3 {
+            let (order, _) =
+                report_order(CampaignEngine::new().with_threads(threads), &study, &spec);
+            assert_eq!(order.len(), 8);
+            assert!(order[0] < threads, "{threads} threads reported {order:?}");
+        }
+    }
+}
+
+/// A median benchmark whose initialization waits, up to a timeout, until
+/// `parties` threads have begun one.  A trial can then finish only once
+/// `parties` workers hold a trial at the same time.  The golden run
+/// initializes like a trial on the worker of the trial that claims it,
+/// so it goes through together with that worker's trial.
+struct RendezvousBenchmark {
+    inner: MedianBenchmark,
+    parties: usize,
+    arrived: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    all_in: std::sync::Condvar,
+}
+
+impl Benchmark for RendezvousBenchmark {
+    fn name(&self) -> &'static str {
+        "rendezvous_median"
+    }
+    fn program(&self) -> &sfi_isa::Program {
+        self.inner.program()
+    }
+    fn fi_window(&self) -> Range<u32> {
+        self.inner.fi_window()
+    }
+    fn dmem_words(&self) -> usize {
+        self.inner.dmem_words()
+    }
+    fn initialize(&self, memory: &mut Memory) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut arrived = self.arrived.lock().unwrap();
+        arrived.insert(std::thread::current().id());
+        self.all_in.notify_all();
+        while arrived.len() < self.parties {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            arrived = self.all_in.wait_timeout(arrived, left).unwrap().0;
+        }
+        drop(arrived);
+        self.inner.initialize(memory);
+    }
+    fn try_output_error(&self, memory: &Memory) -> Option<f64> {
+        self.inner.try_output_error(memory)
+    }
+    fn error_metric(&self) -> &'static str {
+        self.inner.error_metric()
+    }
+}
+
+#[test]
+fn every_worker_of_a_wide_engine_is_counted() {
+    const THREADS: usize = 20;
+    let study = fast_study();
+    let mut spec = CampaignSpec::new("wide", 2);
+    let benchmark = spec.add_benchmark(RendezvousBenchmark {
+        inner: MedianBenchmark::new(21, 3),
+        parties: THREADS,
+        arrived: std::sync::Mutex::default(),
+        all_in: std::sync::Condvar::new(),
+    });
+    spec.add_cell(CellSpec {
+        benchmark,
+        model: FaultModel::None,
+        point: OperatingPoint::new(500.0, 0.7),
+        budget: TrialBudget::fixed(THREADS),
+    });
+    let result = CampaignEngine::new()
+        .with_threads(THREADS)
+        .run(&study, &spec);
+    assert_eq!(result.metrics.worker_threads_used, THREADS);
+    assert_eq!(result.metrics.max_concurrent_trials, THREADS);
+    assert_eq!(result.metrics.executed_trials, THREADS);
+}

@@ -3,8 +3,10 @@
 //! A PoFF search resolves its benchmark's watchdog lazily, once for all
 //! the cells it evaluates: no golden run when every trial ends below
 //! `WATCHDOG_FLOOR_CYCLES`, exactly one when some trial reaches it.
-//! `CampaignEngine::run` still resolves every benchmark's watchdog up
-//! front, one golden run per benchmark.
+//! `CampaignEngine::run` resolves a benchmark's watchdog on its first
+//! trial, on the worker that runs it: one golden run per benchmark that
+//! runs a trial, none for a benchmark whose cells are all restored, and
+//! none before the first cell's trials.
 //!
 //! A golden run bumps the process-wide trial counter like a trial, so the
 //! golden runs of a call are the counter's delta minus the trials it
@@ -12,7 +14,8 @@
 //! these tests and runs them one at a time under `SERIAL`.
 
 use sfi_campaign::{
-    adaptive_poff, CampaignEngine, CampaignSpec, CellSpec, PoffOutcome, PoffSearch, TrialBudget,
+    adaptive_poff, CampaignEngine, CampaignSpec, CellResult, CellSpec, PoffOutcome, PoffSearch,
+    TrialBudget,
 };
 use sfi_core::experiment::{golden_cycles, FaultModel, WATCHDOG_FLOOR_CYCLES};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -140,13 +143,11 @@ fn a_search_past_the_floor_runs_one_golden_run() {
     assert_eq!(outcome.poff_mhz, None);
 }
 
-#[test]
-fn a_campaign_runs_one_golden_run_per_benchmark() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+/// Two median benchmarks with one 3-trial cell each, whose trials all
+/// end far below the floor.
+fn two_benchmark_spec(study: &CaseStudy) -> CampaignSpec {
     let sta = study.sta_limit_mhz(0.7);
     let mut spec = CampaignSpec::new("golden runs", 4);
-    // Every trial of both benchmarks ends far below the floor.
     for values in [21, 35] {
         let benchmark = spec.add_benchmark(MedianBenchmark::new(values, 3));
         spec.add_cell(CellSpec {
@@ -156,6 +157,14 @@ fn a_campaign_runs_one_golden_run_per_benchmark() {
             budget: TrialBudget::fixed(3),
         });
     }
+    spec
+}
+
+#[test]
+fn a_campaign_runs_one_golden_run_per_benchmark() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+    let spec = two_benchmark_spec(&study);
     for threads in [1, 2, 4] {
         let (result, golden_runs) = counting(
             || {
@@ -167,5 +176,49 @@ fn a_campaign_runs_one_golden_run_per_benchmark() {
         );
         assert_eq!(golden_runs, 2, "{threads} threads");
         assert_eq!(result.metrics.executed_trials, 6);
+    }
+}
+
+#[test]
+fn the_first_cell_waits_for_its_own_golden_run_only() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+    let spec = two_benchmark_spec(&study);
+    let counter = &sfi_obs::metrics().trials;
+    let at_first_cell = Arc::new(Mutex::new(None));
+    let sink = Arc::clone(&at_first_cell);
+    let before = counter.get();
+    CampaignEngine::new()
+        .with_threads(1)
+        .with_progress(Arc::new(move |cell: &CellResult| {
+            if cell.cell == 0 {
+                *sink.lock().unwrap() = Some(sfi_obs::metrics().trials.get());
+            }
+        }))
+        .run(&study, &spec);
+    let at_first_cell = at_first_cell.lock().unwrap().expect("cell 0 was reported");
+    // One golden run, benchmark 0's, and cell 0's three trials.
+    assert_eq!(at_first_cell - before, 1 + 3);
+}
+
+#[test]
+fn a_benchmark_whose_cells_are_all_restored_runs_no_golden_run() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+    let spec = two_benchmark_spec(&study);
+    let full = CampaignEngine::new().with_threads(2).run(&study, &spec);
+    for (seeded, golden_runs) in [(1, 1), (2, 0)] {
+        let seeds: Vec<CellResult> = full.cells[..seeded].to_vec();
+        let (result, made) = counting(
+            || {
+                CampaignEngine::new()
+                    .with_threads(2)
+                    .with_seed_cells(seeds)
+                    .run(&study, &spec)
+            },
+            |r| r.metrics.executed_trials as u64,
+        );
+        assert_eq!(made, golden_runs, "{seeded} cells restored");
+        assert_eq!(result.metrics.executed_trials, 3 * (2 - seeded));
     }
 }
