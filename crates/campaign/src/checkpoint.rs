@@ -165,6 +165,14 @@ pub fn result_document<'a>(header: &Json, cells: impl IntoIterator<Item = &'a Ce
     document
 }
 
+/// The encoded length of the [`result_document`] of `header` and `cells`
+/// cells whose [`cell_to_json`] encodings total `cell_bytes`, computed
+/// without building the document: the cells sit in one array, one comma
+/// apart.
+pub fn result_document_len(header: &Json, cells: usize, cell_bytes: usize) -> usize {
+    result_document(header, []).encoded_len() + cell_bytes + cells.saturating_sub(1)
+}
+
 impl CampaignResult {
     /// Exports the full campaign result as the [`result_document`]:
     /// campaign metadata plus every cell in spec order.
@@ -274,6 +282,20 @@ mod tests {
             trials,
             stopped_early: false,
             from_checkpoint: false,
+        }
+    }
+
+    #[test]
+    fn result_document_len_is_the_length_of_the_built_document() {
+        let header = header(&two_cell_spec(3));
+        for count in [0, 1, 2, 5] {
+            let cells: Vec<CellResult> = (0..count).rev().map(cell).collect();
+            let cell_bytes = cells.iter().map(|c| cell_to_json(c).encoded_len()).sum();
+            assert_eq!(
+                result_document_len(&header, cells.len(), cell_bytes),
+                result_document(&header, &cells).to_string().len(),
+                "{count} cells"
+            );
         }
     }
 

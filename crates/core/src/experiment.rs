@@ -296,11 +296,13 @@ pub fn golden_cycles(benchmark: &dyn Benchmark) -> u64 {
 
 /// A constructed injector of any fault model, cached between trials
 /// (model B is model B+ without noise, see [`CaseStudy::model_b`]).
+/// Model B+ carries its sorted factor breakpoints inline, so it is boxed
+/// to keep the other variants small.
 #[derive(Debug, Clone)]
 enum CachedInjector {
     None(NoFaultInjector),
     FixedProbability(FixedProbabilityModel),
-    StaWithNoise(StaWithNoiseModel),
+    StaWithNoise(Box<StaWithNoiseModel>),
     StatisticalDta(StatisticalDtaModel),
 }
 
@@ -311,9 +313,11 @@ impl CachedInjector {
             FaultModel::FixedProbability(p) => {
                 CachedInjector::FixedProbability(study.model_a(p, seed))
             }
-            FaultModel::StaPeriodViolation => CachedInjector::StaWithNoise(study.model_b(point)),
+            FaultModel::StaPeriodViolation => {
+                CachedInjector::StaWithNoise(Box::new(study.model_b(point)))
+            }
             FaultModel::StaWithNoise => {
-                CachedInjector::StaWithNoise(study.model_b_plus(point, seed))
+                CachedInjector::StaWithNoise(Box::new(study.model_b_plus(point, seed)))
             }
             FaultModel::StatisticalDta => {
                 CachedInjector::StatisticalDta(study.model_c(point, seed))
@@ -337,7 +341,7 @@ impl CachedInjector {
         match self {
             CachedInjector::None(m) => m,
             CachedInjector::FixedProbability(m) => m,
-            CachedInjector::StaWithNoise(m) => m,
+            CachedInjector::StaWithNoise(m) => m.as_mut(),
             CachedInjector::StatisticalDta(m) => m,
         }
     }

@@ -14,7 +14,6 @@
 //! thousand `[` bytes cannot blow the stack.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,41 +90,52 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Rust's float formatting is shortest-round-trip.
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
+    /// Length in bytes of this value's compact encoding (its
+    /// `to_string()`), counted without building the string.
+    pub fn encoded_len(&self) -> usize {
+        /// A sink that keeps only the number of bytes written to it.
+        struct Count(usize);
+        impl std::fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 += s.len();
+                Ok(())
             }
+        }
+        let mut count = Count(0);
+        let _ = self.write(&mut count);
+        count.0
+    }
+
+    fn write(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        match self {
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
+            // Rust's float formatting is shortest-round-trip.
+            Json::Num(n) if n.is_finite() => write!(out, "{n}"),
+            Json::Num(_) => out.write_str("null"),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(map) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(out, k)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -154,28 +164,24 @@ impl Json {
 /// Serializes to a compact JSON string (via `ToString`).
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn write_escaped(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// A JSON parse error with a byte offset.
@@ -417,6 +423,24 @@ mod tests {
         assert_eq!(parsed, doc);
         assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(u64::MAX));
         assert_eq!(parsed.get("pi").and_then(Json::as_f64), Some(3.140625));
+    }
+
+    #[test]
+    fn encoded_len_counts_the_bytes_of_to_string() {
+        let docs = [
+            Json::Null,
+            Json::Num(f64::NAN),
+            Json::Num(-1.5e-300),
+            Json::Str("quote \" slash \\ tab \t bell \u{7} é".into()),
+            Json::Arr(Vec::new()),
+            Json::obj([
+                ("a", Json::Arr(vec![Json::Bool(true), Json::Num(0.1)])),
+                ("b\n", Json::obj([])),
+            ]),
+        ];
+        for doc in docs {
+            assert_eq!(doc.encoded_len(), doc.to_string().len(), "{doc}");
+        }
     }
 
     #[test]

@@ -362,10 +362,12 @@ impl CaseStudy {
 
     /// Creates a model C injector (statistical DTA CDFs) for `point`.
     ///
-    /// Allocation-free on the characterization: the injector shares the
-    /// study's flattened [`DtaFaultTable`] and Vdd–delay curve by `Arc`,
-    /// so building one injector per Monte-Carlo trial costs two
-    /// reference-count bumps instead of a multi-megabyte CDF copy.
+    /// The injector shares the study's flattened [`DtaFaultTable`] and
+    /// Vdd–delay curve by `Arc`, and the step tables of `point` from the
+    /// table's memo.  On a memo hit — every injector after the first at
+    /// the same point — building one costs three reference-count bumps
+    /// and one lock, not a multi-megabyte CDF copy; a miss builds the
+    /// point's step tables once.
     pub fn model_c(&self, point: OperatingPoint, seed: u64) -> StatisticalDtaModel {
         StatisticalDtaModel::from_table(
             Arc::clone(&self.voltage_data(point.vdd()).dta_table),

@@ -7,15 +7,26 @@
 //! in-window cycle flips the endpoints whose STA delay exceeds the clock
 //! period — the paper's hard threshold (Fig. 1(a)).
 //!
+//! # Factor breakpoints
+//!
+//! An endpoint with STA delay `d` is in the mask of a cycle whose delay
+//! scaling factor is `f` when `d * f > period`.  Rounded multiplication by
+//! a positive `d` is monotone in `f`, so the factors that flip the
+//! endpoint are exactly those at or above one breakpoint: the smallest
+//! `f` with `d * f > period`.  At construction the model finds it by
+//! starting from `period / d` and stepping by single ulps until it is
+//! exact, then sorts the breakpoints and keeps the cumulative mask below
+//! each.  A cycle's mask is then one binary search over at most 32
+//! breakpoints, bit-identical to comparing every endpoint.
+//!
 //! # Random-number consumption of model B+
 //!
 //! Model B+ draws nothing but its noise sample: two words per cycle, none
-//! at σ = 0.  Its mask `delay * factor > period` per endpoint can only
-//! grow with the factor (the product rounds monotonically), and every
-//! factor the clipped noise can produce lies between the guard-banded best
-//! and worst factors of the operating point.  When the masks at those two
-//! factors agree, the mask is the same on every cycle; the model then
-//! advances the generator with
+//! at σ = 0.  Its mask can only grow with the factor, and every factor the
+//! clipped noise can produce lies between the guard-banded best and worst
+//! factors of the operating point.  When the masks at those two factors
+//! agree, the mask is the same on every cycle; the model then advances the
+//! generator with
 //! [`VoltageNoise::skip_sample`](sfi_timing::VoltageNoise::skip_sample)
 //! instead of sampling, as it also does outside the fault-injection
 //! window, so the noise sequence stays cycle-aligned either way.
@@ -39,8 +50,13 @@ use std::sync::Arc;
 /// (Fig. 1(b)/(c)).
 #[derive(Debug, Clone)]
 pub struct StaWithNoiseModel {
-    endpoint_delays_ps: Arc<[f64]>,
-    period_ps: f64,
+    /// The first `breakpoint_count` entries: every endpoint's smallest
+    /// violating factor, ascending (see the module docs).
+    breakpoints: [f64; 32],
+    breakpoint_count: usize,
+    /// `masks[i]`: the endpoints of the `i` smallest breakpoints, the mask
+    /// of every factor in `[breakpoints[i - 1], breakpoints[i])`.
+    masks: [u32; 33],
     point: OperatingPoint,
     curve: Arc<VddDelayCurve>,
     /// `curve.delay_factor(point.vdd())`, hoisted out of the per-cycle
@@ -114,9 +130,26 @@ impl StaWithNoiseModel {
             !endpoint_delays_ps.is_empty(),
             "at least one endpoint is required"
         );
+        // (breakpoint, endpoint) pairs, sorted in place: no allocation.
+        let mut endpoints = [(f64::INFINITY, 0u32); 32];
+        let mut count = 0;
+        for (bit, &delay) in endpoint_delays_ps.iter().take(32).enumerate() {
+            if let Some(factor) = first_violating_factor(delay, point.period_ps()) {
+                endpoints[count] = (factor, bit as u32);
+                count += 1;
+            }
+        }
+        endpoints[..count].sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut breakpoints = [f64::INFINITY; 32];
+        let mut masks = [0u32; 33];
+        for (i, &(factor, bit)) in endpoints[..count].iter().enumerate() {
+            breakpoints[i] = factor;
+            masks[i + 1] = masks[i] | (1 << bit);
+        }
         let mut model = StaWithNoiseModel {
-            endpoint_delays_ps,
-            period_ps: point.period_ps(),
+            breakpoints,
+            breakpoint_count: count,
+            masks,
             point,
             nominal_factor: curve.delay_factor(point.vdd()),
             curve,
@@ -135,14 +168,13 @@ impl StaWithNoiseModel {
         model
     }
 
+    /// The endpoints whose STA delay scaled by `delay_factor` exceeds
+    /// the period: those whose breakpoint is at or below the factor.
+    #[inline]
     fn violation_mask(&self, delay_factor: f64) -> u32 {
-        let mut mask = 0u32;
-        for (bit, &delay) in self.endpoint_delays_ps.iter().enumerate().take(32) {
-            if delay * delay_factor > self.period_ps {
-                mask |= 1 << bit;
-            }
-        }
-        mask
+        let below =
+            self.breakpoints[..self.breakpoint_count].partition_point(|&b| b <= delay_factor);
+        self.masks[below]
     }
 
     /// Reseeds the noise sequence (used to decorrelate Monte-Carlo trials).
@@ -154,6 +186,25 @@ impl StaWithNoiseModel {
     pub fn operating_point(&self) -> OperatingPoint {
         self.point
     }
+}
+
+/// The smallest factor `f` with `delay * f > period_ps`, or `None` when no
+/// positive factor flips the endpoint: a degenerate delay, or a period that
+/// overflowed to infinity (a frequency near zero), which nothing exceeds.
+fn first_violating_factor(delay: f64, period_ps: f64) -> Option<f64> {
+    if !(delay > 0.0 && delay.is_finite() && period_ps < f64::INFINITY) {
+        return None;
+    }
+    // `period / delay` is within an ulp or two of the breakpoint; the
+    // product is monotone in the factor, so walking ulps settles it.
+    let mut factor = period_ps / delay;
+    while factor > 0.0 && delay * factor.next_down() > period_ps {
+        factor = factor.next_down();
+    }
+    while delay * factor <= period_ps {
+        factor = factor.next_up();
+    }
+    Some(factor)
 }
 
 impl FaultInjector for StaWithNoiseModel {
@@ -307,6 +358,63 @@ mod tests {
         }
     }
 
+    /// The per-endpoint comparison the breakpoints replace.
+    fn naive_mask(ch: &TimingCharacterization, point: OperatingPoint, factor: f64) -> u32 {
+        (0..ch.endpoint_count().min(32))
+            .filter(|&e| ch.sta_endpoint_delay_ps(e) * factor > point.period_ps())
+            .fold(0, |mask, e| mask | 1 << e)
+    }
+
+    #[test]
+    fn breakpoint_masks_match_the_naive_mask_at_every_breakpoint() {
+        let ch = characterization();
+        let mut checked = 0;
+        for ratio in [0.9, 0.97, 1.0, 1.01, 1.05, 1.1, 1.25, 1.275, 1.3, 2.5] {
+            let point = OperatingPoint::new(ch.sta_limit_mhz() * ratio, 0.7);
+            let model = StaWithNoiseModel::new(&ch, point, curve(), 0);
+            let breakpoints = &model.breakpoints[..model.breakpoint_count];
+            assert!(breakpoints.windows(2).all(|w| w[0] <= w[1]));
+            for &b in breakpoints {
+                for factor in [b.next_down(), b, b.next_up()] {
+                    let case = format!("{point} factor {factor}");
+                    assert_eq!(
+                        model.violation_mask(factor),
+                        naive_mask(&ch, point, factor),
+                        "{case}"
+                    );
+                }
+                // The breakpoint is the first violating factor of its
+                // endpoint: one ulp lower leaves a bit unset.
+                assert_ne!(
+                    model.violation_mask(b),
+                    model.violation_mask(b.next_down()),
+                    "{point} breakpoint {b}"
+                );
+                checked += 1;
+            }
+            for factor in [0.5, 0.9, 1.0, 1.1, 2.0] {
+                assert_eq!(model.violation_mask(factor), naive_mask(&ch, point, factor));
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn an_infinite_period_never_faults() {
+        let ch = characterization();
+        // 1e6 / 1e-310 overflows: the period is +inf and nothing exceeds it.
+        let point = OperatingPoint::new(1e-310, 0.7).with_noise_sigma_mv(10.0);
+        assert_eq!(point.period_ps(), f64::INFINITY);
+        let mut model = StaWithNoiseModel::new(&ch, point, curve(), 0);
+        assert_eq!(model.breakpoint_count, 0);
+        assert!(model.never_faults);
+        for factor in [0.5, 1.0, 2.0, f64::MAX] {
+            assert_eq!(model.violation_mask(factor), naive_mask(&ch, point, factor));
+            assert_eq!(model.violation_mask(factor), 0);
+        }
+        assert_eq!(model.inject(&ctx(true)), 0);
+    }
+
     #[test]
     fn constant_mask_holds_at_every_reachable_noise_value() {
         use crate::model_c::tests::{bumpy_curve, noise_grid};
@@ -330,7 +438,8 @@ mod tests {
                     constant += 1;
                     for noise in noise_grid(point, &curve) {
                         let factor = curve.noise_scaling_factor_with_nominal(0.7, noise, nominal);
-                        assert_eq!(mask, model.violation_mask(factor), "{point} noise {noise}");
+                        let naive = naive_mask(&ch, point, factor);
+                        assert_eq!(mask, naive, "{point} noise {noise}");
                     }
                 }
             }

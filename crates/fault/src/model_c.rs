@@ -1,15 +1,20 @@
 //! Model C: the proposed statistical, instruction-aware fault injection.
 //!
-//! # Per-point endpoint classes
+//! # Per-point step tables
 //!
 //! A cycle's noise sample only moves the effective period, and every
 //! period the clipped noise can produce at an operating point lies in one
 //! range `[period / worst factor, period / best factor]` (both factors
 //! guard-banded, see [`crate::WORST_FACTOR_GUARD_BAND`]).  At construction
-//! the model sorts each instruction's endpoints over that range with
-//! [`DtaFaultTable::endpoint_classes`]: `always` (p = 1 on every cycle),
-//! `varies`, and the rest (p = 0 on every cycle).  Far from the
+//! the model fetches the [`StepTables`] of that range from the shared
+//! [`DtaFaultTable`], which builds them once per range and memoizes them.
+//! They sort each instruction's endpoints into `always` (p = 1 on every
+//! cycle), `varies`, and the rest (p = 0 on every cycle); far from the
 //! transition region most instructions have no `varies` endpoint at all.
+//! For the other instructions they hold the sorted breakpoints of the
+//! threshold and one exact row of endpoint probabilities per interval
+//! between breakpoints, so a cycle finds its probabilities with one binary
+//! search (see [`crate::table`]).
 //!
 //! # Random-number consumption
 //!
@@ -23,13 +28,12 @@
 //! [`VoltageNoise::skip_sample`](sfi_timing::VoltageNoise::skip_sample)
 //! instead of sampling, and by one word per `always` endpoint — exactly
 //! what `gen_bool(1.0)` consumes, and it always returns `true` — so the
-//! mask is `always`.  Every other cycle samples the noise and walks only
-//! the `always | varies` endpoints, which include every endpoint with
-//! `p > 0`.
+//! mask is `always`.  Every other cycle samples the noise and draws over
+//! its row, which holds every endpoint with `p > 0`.
 
 use crate::map::alu_op_for_class;
 use crate::operating_point::OperatingPoint;
-use crate::table::{DtaFaultTable, EndpointClasses};
+use crate::table::{DtaFaultTable, StepTables};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sfi_cpu::{ExStageContext, FaultInjector};
@@ -56,8 +60,9 @@ use std::sync::Arc;
 /// error-free operation and complete failure (Figs. 4–7 of the paper).
 ///
 /// The expensive characterization data is shared behind `Arc`s (see
-/// [`DtaFaultTable`]): constructing one injector per Monte-Carlo trial via
-/// [`StatisticalDtaModel::from_table`] — or cloning per sweep point via
+/// [`DtaFaultTable`]): once the table's memo holds the step tables of an
+/// operating point, constructing one injector per Monte-Carlo trial via
+/// [`StatisticalDtaModel::from_table`] — or per sweep point via
 /// [`StatisticalDtaModel::at_frequency`] — allocates nothing.
 #[derive(Debug, Clone)]
 pub struct StatisticalDtaModel {
@@ -73,10 +78,10 @@ pub struct StatisticalDtaModel {
     /// worst clipped droop, fixed at construction (see
     /// [`FaultInjector::never_faults`]).
     never_faults: bool,
-    /// Endpoint classes per instruction, indexed by `AluOp::code()`, over
-    /// every threshold the clipped noise can produce (see the module
-    /// docs).
-    classes: [EndpointClasses; AluOp::ALL.len()],
+    /// Endpoint classes and step tables over every threshold the clipped
+    /// noise can produce (see the module docs), shared with every injector
+    /// at the same point.
+    steps: Arc<StepTables>,
     rng: SmallRng,
 }
 
@@ -86,8 +91,9 @@ impl StatisticalDtaModel {
     ///
     /// This flattens the characterization into a fresh [`DtaFaultTable`];
     /// callers constructing many injectors over the same characterization
-    /// (one per Monte-Carlo trial) should build the table once and use the
-    /// allocation-free [`StatisticalDtaModel::from_table`] instead.
+    /// (one per Monte-Carlo trial) should build the table once and use
+    /// [`StatisticalDtaModel::from_table`] instead, which shares the
+    /// table's memoized step tables.
     ///
     /// # Panics
     ///
@@ -109,7 +115,9 @@ impl StatisticalDtaModel {
     }
 
     /// Creates the model from a prebuilt, shared fault table — the
-    /// allocation-free per-trial constructor the campaign hot path uses.
+    /// per-trial constructor the campaign hot path uses.  It takes the
+    /// step tables of the point from the table's memo, so it allocates
+    /// nothing unless the memo has to build them (see [`crate::table`]).
     ///
     /// # Panics
     ///
@@ -143,14 +151,14 @@ impl StatisticalDtaModel {
         // `period / factor` lies between these two.
         let lo_ps = point.period_ps() / worst_factor;
         let hi_ps = point.period_ps() / point.best_delay_factor(&curve);
-        let classes = AluOp::ALL.map(|op| table.endpoint_classes(op, lo_ps, hi_ps));
+        let steps = table.step_tables(lo_ps, hi_ps);
         StatisticalDtaModel {
             table,
             point,
             period_ps: point.period_ps(),
             nominal_factor,
             never_faults,
-            classes,
+            steps,
             curve,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -168,7 +176,8 @@ impl StatisticalDtaModel {
     }
 
     /// Returns a copy of the model at a different clock frequency, sharing
-    /// the same characterization data (no allocation).
+    /// the same characterization data (no allocation on a step-table memo
+    /// hit).
     pub fn at_frequency(&self, freq_mhz: f64, seed: u64) -> Self {
         Self::from_table(
             Arc::clone(&self.table),
@@ -187,6 +196,12 @@ impl StatisticalDtaModel {
     pub fn fault_table(&self) -> &Arc<DtaFaultTable> {
         &self.table
     }
+
+    /// The shared step tables of the model's operating point.
+    #[cfg(test)]
+    pub(crate) fn step_tables(&self) -> &Arc<StepTables> {
+        &self.steps
+    }
 }
 
 impl FaultInjector for StatisticalDtaModel {
@@ -198,7 +213,7 @@ impl FaultInjector for StatisticalDtaModel {
             return 0;
         }
         let op = alu_op_for_class(ctx.alu_class);
-        let classes = self.classes[op.code() as usize];
+        let classes = self.steps.classes(op);
         if classes.varies == 0 {
             self.point.noise().skip_sample(&mut self.rng);
             for _ in 0..classes.always.count_ones() {
@@ -220,13 +235,11 @@ impl FaultInjector for StatisticalDtaModel {
         // endpoint with one comparison per endpoint.
         let threshold_ps = self.period_ps / delay_factor;
 
-        // Steps 2 + 3: per-endpoint probabilities and independent
-        // Bernoulli draws, over the endpoints that can have p > 0.
+        // Steps 2 + 3: the row of per-endpoint probabilities at this
+        // threshold and independent Bernoulli draws over it.
         let rng = &mut self.rng;
-        self.table
-            .violation_mask(op, classes.always | classes.varies, threshold_ps, |p| {
-                rng.gen_bool(p)
-            })
+        self.steps
+            .violation_mask(op, threshold_ps, |p| rng.gen_bool(p))
     }
 
     fn never_faults(&self) -> bool {
@@ -430,7 +443,7 @@ pub(crate) mod tests {
                         let factor = curve.noise_scaling_factor_with_nominal(0.7, noise, nominal);
                         let threshold = point.period_ps() / factor;
                         for op in AluOp::ALL {
-                            let classes = model.classes[op.code() as usize];
+                            let classes = model.step_tables().classes(op);
                             assert_eq!(classes.always & classes.varies, 0);
                             for e in 0..table.endpoint_count() {
                                 let p = table.error_probability(op, e, threshold);
@@ -451,6 +464,139 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(seen, [true; 3], "the sweep must reach all three classes");
+    }
+
+    /// The thresholds at which a step-table row could be off: both range
+    /// ends, and every sample of `op` inside the range with its
+    /// neighbouring floats that stay inside.
+    fn step_edges(ch: &TimingCharacterization, op: AluOp, lo: f64, hi: f64) -> Vec<f64> {
+        let mut thresholds = vec![lo, hi];
+        for e in 0..ch.endpoint_count() {
+            for &s in ch.cdf(op, e).samples() {
+                thresholds.extend([s.next_down(), s, s.next_up()]);
+            }
+        }
+        thresholds.retain(|t| (lo..=hi).contains(t));
+        thresholds.sort_by(f64::total_cmp);
+        thresholds.dedup();
+        thresholds
+    }
+
+    #[test]
+    fn step_table_rows_are_the_error_probabilities_at_every_edge() {
+        let ch = Arc::new(characterization());
+        let table = Arc::new(DtaFaultTable::new(Arc::clone(&ch)));
+        let mut partial_rows = 0;
+        for curve in [curve(), bumpy_curve()] {
+            let curve = Arc::new(curve);
+            for sigma_mv in [10.0, 25.0] {
+                for ratio in [0.9, 1.0, 1.05, 1.1, 1.25, 1.275, 1.3, 1.6, 2.0, 2.5] {
+                    let point = OperatingPoint::new(ch.sta_limit_mhz() * ratio, 0.7)
+                        .with_noise_sigma_mv(sigma_mv);
+                    let model = StatisticalDtaModel::from_table(
+                        Arc::clone(&table),
+                        point,
+                        Arc::clone(&curve),
+                        0,
+                    );
+                    let steps = model.step_tables();
+                    let (lo, hi) = steps.range_ps();
+                    for op in AluOp::ALL {
+                        for threshold in step_edges(&ch, op, lo, hi) {
+                            // The oracle: every endpoint's own probability,
+                            // drawn in endpoint order whenever it is > 0.
+                            let expected: Vec<(usize, f64)> = (0..table.endpoint_count())
+                                .map(|e| (e, table.error_probability(op, e, threshold)))
+                                .filter(|&(_, p)| p > 0.0)
+                                .collect();
+                            let mut seen = Vec::new();
+                            let mask = steps.violation_mask(op, threshold, |p| {
+                                seen.push(p);
+                                true
+                            });
+                            let case = format!("{op:?} at {point} threshold {threshold}");
+                            let probs: Vec<f64> = expected.iter().map(|&(_, p)| p).collect();
+                            assert_eq!(seen, probs, "{case}");
+                            let bits = expected.iter().fold(0u32, |m, &(e, _)| m | 1 << e);
+                            assert_eq!(mask, bits, "{case}");
+                            partial_rows += probs.iter().any(|&p| p < 1.0) as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(partial_rows > 0, "the sweep must reach fractional rows");
+    }
+
+    #[test]
+    fn injectors_at_one_point_share_one_step_table() {
+        let ch = Arc::new(characterization());
+        let table = Arc::new(DtaFaultTable::new(Arc::clone(&ch)));
+        let point = OperatingPoint::new(ch.sta_limit_mhz() * 1.25, 0.7).with_noise_sigma_mv(10.0);
+        let shared_curve = Arc::new(curve());
+        let [a, b] = std::thread::scope(|scope| {
+            [1, 2]
+                .map(|seed| {
+                    let (table, curve) = (Arc::clone(&table), Arc::clone(&shared_curve));
+                    scope.spawn(move || StatisticalDtaModel::from_table(table, point, curve, seed))
+                })
+                .map(|handle| handle.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(a.step_tables(), b.step_tables()));
+        let shifted = a.at_frequency(point.freq_mhz(), 3);
+        assert!(Arc::ptr_eq(a.step_tables(), shifted.step_tables()));
+    }
+
+    #[test]
+    fn an_evicted_point_rebuilds_to_identical_trials() {
+        let ch = Arc::new(characterization());
+        let table = Arc::new(DtaFaultTable::new(Arc::clone(&ch)));
+        let shared_curve = Arc::new(curve());
+        let sta = ch.sta_limit_mhz();
+        let point = OperatingPoint::new(sta * 1.25, 0.7).with_noise_sigma_mv(25.0);
+        let masks = |model: &mut StatisticalDtaModel| -> Vec<u32> {
+            (0..3000)
+                .map(|i| model.inject(&ctx(AluClass::ALL[i % AluClass::ALL.len()])))
+                .collect()
+        };
+        let mut first = StatisticalDtaModel::from_table(
+            Arc::clone(&table),
+            point,
+            Arc::clone(&shared_curve),
+            7,
+        );
+        let before = masks(&mut first);
+        assert!(before.iter().any(|&m| m != 0));
+        for i in 0..crate::table::STEP_MEMO_RANGES {
+            first.at_frequency(sta * (0.5 + 0.01 * i as f64), 0);
+        }
+        let mut rebuilt = first.at_frequency(point.freq_mhz(), 7);
+        assert!(!Arc::ptr_eq(first.step_tables(), rebuilt.step_tables()));
+        assert_eq!(masks(&mut rebuilt), before);
+    }
+
+    #[test]
+    fn an_infinite_period_never_faults() {
+        let ch = characterization();
+        // 1e6 / 1e-310 overflows: the period is +inf and nothing exceeds it.
+        let point = OperatingPoint::new(1e-310, 0.7).with_noise_sigma_mv(10.0);
+        assert_eq!(point.period_ps(), f64::INFINITY);
+        let mut m = StatisticalDtaModel::new(ch, point, curve(), 1);
+        assert!(m.never_faults());
+        for class in AluClass::ALL {
+            assert_eq!(m.inject(&ctx(class)), 0, "{class}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside")]
+    fn a_threshold_outside_the_range_is_refused() {
+        let ch = Arc::new(characterization());
+        let table = DtaFaultTable::new(Arc::clone(&ch));
+        let sta = ch.sta_critical_path_ps();
+        let steps = table.step_tables(sta * 0.8, sta * 0.9);
+        steps.violation_mask(AluOp::Mul, f64::NAN, |_| true);
     }
 
     #[test]

@@ -211,6 +211,10 @@ struct JobEntry {
     /// Completed cells, completion order (dropped on eviction): stream
     /// frames, result document and resume seeds.
     cells: Vec<CellResult>,
+    /// Total encoded length of `cells`, one [`checkpoint::cell_to_json`]
+    /// document each, counted as each cell arrives so a finished job is
+    /// sized without encoding its cells again.
+    cell_bytes: usize,
     error: Option<String>,
     /// Cooperative stop flag of the current (or next) run; replaced with
     /// a fresh flag when the job is requeued after a preemption.
@@ -259,6 +263,7 @@ impl JobEntry {
             priority,
             client: client.to_string(),
             cells: Vec::new(),
+            cell_bytes: 0,
             error: None,
             cancel: Arc::new(AtomicBool::new(false)),
             user_cancelled: false,
@@ -376,6 +381,7 @@ impl Inner {
             self.retained_total -= released;
             entry.retained_bytes = 0;
             entry.cells = Vec::new();
+            entry.cell_bytes = 0;
             entry.evicted = true;
             self.evictions_total += 1;
             let metrics = sfi_obs::metrics();
@@ -779,6 +785,11 @@ impl JobTable {
                     let mut entry = JobEntry::queued(spec, job.priority, &job.client, now);
                     let decoded = job.cells.iter().filter_map(checkpoint::cell_from_json);
                     entry.cells = restorable_cells(&entry.spec, decoded);
+                    entry.cell_bytes = entry
+                        .cells
+                        .iter()
+                        .map(|cell| checkpoint::cell_to_json(cell).encoded_len())
+                        .sum();
                     entry.progress.completed_cells = entry.cells.len();
                     entry.progress.executed_trials =
                         entry.cells.iter().map(|c| c.trials.len()).sum();
@@ -1118,18 +1129,20 @@ fn run_job(
         if cell.from_checkpoint {
             return;
         }
+        // Encoding and the fsync happen outside the table lock: a slow
+        // disk must not stall status/stream handlers.
+        let doc = checkpoint::cell_to_json(cell);
+        let bytes = doc.encoded_len();
         {
             let mut inner = hook_table.lock();
             if let Some(entry) = inner.jobs.get_mut(&id) {
                 entry.cells.push(cell.clone());
+                entry.cell_bytes += bytes;
                 entry.progress.completed_cells += 1;
             }
             hook_table.update.notify_all();
         }
-        // Encoding and the fsync happen outside the table lock: a slow
-        // disk must not stall status/stream handlers.
         if let Some(journal) = hook_table.journal() {
-            let doc = checkpoint::cell_to_json(cell);
             journal.append_best_effort(&crate::journal::cell_record(id, &doc));
         }
     }));
@@ -1143,13 +1156,6 @@ fn run_job(
     let mut preempted = false;
     let mut terminal: Option<(JobState, Option<String>, Progress)> = None;
     if let Some(entry) = inner.jobs.get_mut(&id) {
-        let cell_bytes = |entry: &JobEntry| {
-            entry
-                .cells
-                .iter()
-                .map(|cell| checkpoint::cell_to_json(cell).to_string().len())
-                .sum::<usize>()
-        };
         let now = clock::now_micros();
         entry.run_accum_us += now.saturating_sub(entry.started_us);
         // One `job_running` span per dispatch segment; a preempted job
@@ -1186,15 +1192,17 @@ fn run_job(
                         );
                     } else {
                         entry.state = JobState::Cancelled;
-                        retained = cell_bytes(entry);
+                        retained = entry.cell_bytes;
                     }
                 } else {
                     entry.preempt_requested = false;
                     entry.state = JobState::Done;
-                    let doc = checkpoint::result_document(&entry.header, &entry.cells).to_string();
-                    debug_assert_eq!(doc, result.to_json(&spec).to_string());
-                    entry.result_bytes = doc.len();
-                    retained = doc.len() + cell_bytes(entry);
+                    entry.result_bytes = checkpoint::result_document_len(
+                        &entry.header,
+                        entry.cells.len(),
+                        entry.cell_bytes,
+                    );
+                    retained = entry.result_bytes + entry.cell_bytes;
                 }
             }
             Err(payload) => {
@@ -1205,7 +1213,7 @@ fn run_job(
                     .unwrap_or_else(|| "campaign panicked".into());
                 entry.state = JobState::Failed;
                 entry.error = Some(message);
-                retained = cell_bytes(entry);
+                retained = entry.cell_bytes;
             }
         }
         if entry.state.is_terminal() {
